@@ -1,8 +1,8 @@
 // Replica-set mode: marchload -replicas N spawns its own N-replica
 // marchserve set (each replica with its own durable store, all joined
-// by -peers, warm solver mode so eligible sweeps distribute), drives
-// the usual closed-loop workload across it, and asserts the replica
-// tier's two headline properties:
+// by -peers, so eligible sweeps distribute), drives the usual
+// closed-loop workload across it, and asserts the replica tier's two
+// headline properties:
 //
 //   - byte identity: every 2xx response's test must equal the local
 //     single-process marchgen.Generate result for its fault list —
@@ -94,7 +94,7 @@ func replicasRun(o *replicaOpts) int {
 			bin:       o.serverBin,
 			addr:      a,
 			dir:       dir,
-			extraArgs: []string{"-peers", peers, "-solver", "warm"},
+			extraArgs: []string{"-peers", peers},
 		}
 		if err := procs[i].start(); err != nil {
 			return fail("start replica %d on %s: %v", i+1, a, err)

@@ -25,8 +25,8 @@
 // -peers A,B,C (each replica started with the same list and its own
 // -addr from it) forms a replica set: requests forward to the replica
 // owning their content key on a consistent-hash ring, memo entries warm
-// on any replica are fetched from peers, and exact warm-mode selection
-// sweeps (-solver warm) distribute across the set. See
+// on any replica are fetched from peers, and exact unbudgeted selection
+// sweeps distribute across the set. See
 // docs/operations.md for the deployment recipe.
 //
 // SIGINT/SIGTERM drain gracefully: /readyz flips to 503, new requests are
@@ -73,7 +73,6 @@ func run() int {
 	workers := flag.Int("workers", 0, "default engine worker-pool size (0: GOMAXPROCS)")
 	batchWindow := flag.Duration("batch-window", 0, "micro-batch gathering window (0: default 500µs; negative: disable batching)")
 	storeDir := flag.String("store", "", "durable job store directory (enables the /v1/jobs API; empty: jobs disabled)")
-	solver := flag.String("solver", "", "default exact-sweep solver mode: enumerate, warm or joint (empty: warm)")
 	peers := flag.String("peers", "", "comma-separated replica addresses forming a replica set with this server (must include -addr)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 	obsFlags := obs.BindFlags(flag.CommandLine)
@@ -88,12 +87,6 @@ func run() int {
 	w, err := budget.ParseWorkers(*workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "marchserve:", err)
-		return budget.ExitUsage
-	}
-	switch *solver {
-	case "", marchgen.SolverEnumerate, marchgen.SolverWarm, marchgen.SolverJoint:
-	default:
-		fmt.Fprintf(os.Stderr, "marchserve: unknown -solver mode %q (want enumerate, warm or joint)\n", *solver)
 		return budget.ExitUsage
 	}
 	peerList := splitPeers(*peers)
@@ -138,7 +131,6 @@ func run() int {
 		Obs:            orun,
 		Self:           *addr,
 		Peers:          peerList,
-		SolverMode:     *solver,
 	})
 	if st != nil {
 		fmt.Fprintf(os.Stderr, "marchserve: job store %s (%d incomplete jobs re-adopted)\n", *storeDir, srv.RecoveredJobs())

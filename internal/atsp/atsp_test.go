@@ -2,6 +2,7 @@ package atsp
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -344,6 +345,65 @@ func TestOptimalPathsEnumerate(t *testing.T) {
 	for _, p := range paths {
 		if got := starts[p[0]] + m.PathCost(p); got != cost {
 			t.Errorf("path %v costs %d, reported optimum %d", p, got, cost)
+		}
+	}
+}
+
+// TestOptimalPathsMatchBruteForce is the enumeration's byte-identity
+// regression: the emitted optimal-path list — contents AND order — must
+// equal the lexicographic brute-force enumeration of cost-optimal paths,
+// whatever the bound pruned in the search tree.
+func TestOptimalPathsMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260810))
+	for iter := 0; iter < 24; iter++ {
+		n := 4 + rng.Intn(4) // 4..7
+		m := randomMatrix(rng, n, 4)
+		starts := make([]int, n)
+		for i := range starts {
+			starts[i] = rng.Intn(3)
+		}
+		// Brute force in lexicographic DFS order, the order rec emits in.
+		var want [][]int
+		best := Inf
+		cur := make([]int, 0, n)
+		used := make([]bool, n)
+		var rec func(cost int)
+		rec = func(cost int) {
+			if len(cur) == n {
+				if cost < best {
+					best = cost
+					want = want[:0]
+				}
+				if cost == best {
+					want = append(want, append([]int(nil), cur...))
+				}
+				return
+			}
+			for v := 0; v < n; v++ {
+				if used[v] {
+					continue
+				}
+				step := starts[v]
+				if len(cur) > 0 {
+					step = m[cur[len(cur)-1]][v]
+				}
+				used[v] = true
+				cur = append(cur, v)
+				rec(cost + step)
+				cur = cur[:len(cur)-1]
+				used[v] = false
+			}
+		}
+		rec(0)
+		got, cost, err := OptimalPaths(m, starts, len(want)+8)
+		if err != nil {
+			t.Fatalf("OptimalPaths: %v", err)
+		}
+		if cost != best {
+			t.Fatalf("n=%d: optimal cost %d, brute force %d", n, cost, best)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: emitted paths diverge from brute force\ngot:  %v\nwant: %v", n, got, want)
 		}
 	}
 }

@@ -69,9 +69,8 @@ func OptimalPathsOpt(mt *budget.Meter, m Matrix, startCost []int, limit int, opt
 	var paths [][]int
 	visited := make([]bool, n)
 	cur := make([]int, 0, n)
-	rem := make([]int, n)
 	const nodeBudget = 500000
-	nodes, escalated, escPruned := 0, 0, 0
+	nodes := 0
 	var recErr error
 	var rec func(cost int)
 	rec = func(cost int) {
@@ -128,21 +127,6 @@ func OptimalPathsOpt(mt *budget.Meter, m Matrix, startCost []int, limit int, opt
 				}
 				lb -= maxDrop
 			}
-			if cost+step+lb <= best && remaining >= enumEscalateMinRemaining {
-				// Rung one failed to prune: escalate to the assignment
-				// bound over the remaining subproblem. Any admissible
-				// bound leaves the emitted optimal-path set and its DFS
-				// order untouched — a prefix of an optimal path always
-				// satisfies cost+step+lb <= best — so only the node count
-				// moves.
-				escalated++
-				if alb := enumAPBound(m, visited, v, rem); alb > lb {
-					lb = alb
-					if cost+step+lb > best {
-						escPruned++
-					}
-				}
-			}
 			if cost+step+lb > best {
 				continue
 			}
@@ -156,8 +140,6 @@ func OptimalPathsOpt(mt *budget.Meter, m Matrix, startCost []int, limit int, opt
 	rec(0)
 	if run := obs.From(mt.Context()); run != nil {
 		run.Counter("atsp.enum.nodes").Add(int64(nodes))
-		run.Counter("atsp.enum.escalated").Add(int64(escalated))
-		run.Counter("atsp.enum.escpruned").Add(int64(escPruned))
 		run.Progress().AddNodes(int64(nodes))
 		run.StartUnder("atsp/enumerate").
 			SetInt("n", int64(n)).

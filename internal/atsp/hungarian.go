@@ -24,8 +24,8 @@ type apState struct {
 	p   []int // p[col] = row matched to col (0 = none)
 	row []int // row[r] = col matched to row r (0 = none)
 
-	// Augmenting-search scratch, reused across augment calls (and across
-	// pooled reuses of the whole state): holds no state between calls.
+	// Augmenting-search scratch, reused across augment calls: holds no
+	// state between calls.
 	way  []int
 	minv []int
 	used []bool
@@ -39,6 +39,18 @@ func newAPState(n int) *apState {
 		v:   make([]int, n+1),
 		p:   make([]int, n+1),
 		row: make([]int, n+1),
+	}
+}
+
+// clone deep-copies the state so a child subproblem can diverge (the
+// scratch is not copied: it holds no state between augmentations).
+func (s *apState) clone() *apState {
+	return &apState{
+		n:   s.n,
+		u:   append([]int(nil), s.u...),
+		v:   append([]int(nil), s.v...),
+		p:   append([]int(nil), s.p...),
+		row: append([]int(nil), s.row...),
 	}
 }
 

@@ -54,13 +54,6 @@ type Options struct {
 	// DisableEquivalence forces one TPG node per BFE instead of one per
 	// equivalence class (the Section 5 ablation).
 	DisableEquivalence bool
-	// SolverMode selects how the selection sweep drives the exact solver:
-	// SolverWarm (the default, also chosen by ""), SolverEnumerate or
-	// SolverJoint — see the constants in joint.go. The generated test and
-	// every Result field are byte-identical in all modes; only solver
-	// effort (node counts, timings, mode-specific metrics) differs. An
-	// unknown mode is rejected with budget.ErrUsage.
-	SolverMode string
 	// DisableFallback turns off the bounded branch-and-bound fallback
 	// used when an exotic user-defined fault falls outside the rewrite
 	// grammar (the pipeline then fails instead of searching).
@@ -79,8 +72,8 @@ type Options struct {
 	// Distributor, when non-nil, is offered the §5 selection sweep for
 	// cross-process execution (see SweepDistributor in shard.go). The
 	// offer is made only where the distributed merge is provably
-	// byte-identical to the sequential sweep — exact solves in
-	// SolverWarm mode, unlimited budget, untruncated selection list —
+	// byte-identical to the sequential sweep — exact solves, unlimited
+	// budget, untruncated selection list —
 	// and any distribution failure falls back to the sequential sweep,
 	// so the field never changes what is computed, only where.
 	Distributor SweepDistributor
@@ -127,7 +120,7 @@ type Result struct {
 	// deduplicated selection the sweep solved exactly (0 when none was).
 	// The winning selection is chosen by validated test quality, not by
 	// this figure, so it can exceed MinSelectionCost; the value is
-	// identical across solver modes and worker counts.
+	// identical at any worker count.
 	MinSelectionCost int
 	// Candidates counts the rewrite candidates validated.
 	Candidates int
@@ -148,9 +141,8 @@ type Result struct {
 	// are byte-identical to the run that produced them.
 	FromCache bool
 	// StageElapsed is the wall-clock time per pipeline stage ("expand",
-	// "select", "atsp", "assemble", "validate", "shrink", "certify",
-	// "fallback", "finalize"). The windows are measured at stage
-	// boundaries and
+	// "select", "atsp", "assemble", "validate", "shrink", "fallback",
+	// "finalize"). The windows are measured at stage boundaries and
 	// partition the run's wall time: they never overlap, and a degraded
 	// or cancelled stage still reports the window it actually occupied.
 	StageElapsed map[string]time.Duration
@@ -186,15 +178,6 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 	}
 	if err := opts.Budget.Validate(); err != nil {
 		return nil, err
-	}
-	mode := opts.SolverMode
-	if mode == "" {
-		mode = SolverWarm
-	}
-	switch mode {
-	case SolverEnumerate, SolverWarm, SolverJoint:
-	default:
-		return nil, fmt.Errorf("core: unknown solver mode %q: %w", opts.SolverMode, budget.ErrUsage)
 	}
 	workers, err := budget.ParseWorkers(opts.Workers)
 	if err != nil {
@@ -322,60 +305,36 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 		cache:       cache,
 		verdictHits: run.Counter("memo.verdict_hits"),
 	}
-	var best *march.Test
-	var lastErr error
-	bestNodes, bestCost := 0, 0
-	seenNodeSets := map[string]bool{}
-	// The joint mode prunes duplicate selection subtrees up front; the
-	// mask only exists when the list is the complete lexicographic product
-	// (a budget truncation breaks the contiguity argument — see jointSkips).
-	var jointSkip []bool
-	if mode == SolverJoint && !truncated {
-		var prunedSubtrees, skippedLeaves int
-		jointSkip, prunedSubtrees, skippedLeaves = jointSkips(classes, selections)
-		run.Counter("core.joint.subtrees_pruned").Add(int64(prunedSubtrees))
-		run.Counter("core.joint.leaves_skipped").Add(int64(skippedLeaves))
+	fresh := func() *sweep {
+		sw := newSweep(m, classes, opts, workers, cache, degrade)
+		sw.stages, sw.gen, sw.prog = stages, gen, prog
+		return sw
 	}
-	// Warm-start threading (warm and joint modes): the previous
-	// selection's first optimal ordering seeds the next solve's incumbent.
-	preferBB := mode != SolverEnumerate
-	var prevOrder []fsm.Pattern
-	// selCost collects each deduplicated node set's exact visit cost for
-	// MinSelectionCost and the joint certificate; minSel is its minimum
-	// (-1: nothing solved exactly yet).
-	selCost := map[string]int{}
-	minSel := -1
+	sw := fresh()
 	// A distributor may take the whole sweep off this process where the
-	// shard merge is provably byte-identical (see shard.go); on success
-	// the sequential loop below is skipped by emptying its range. Any
+	// shard merge is provably byte-identical (see shard.go). The replay
+	// folds into a sweep of its own, adopted only on success, so any
 	// failure — a declined offer, an unreachable shard, no candidate —
-	// leaves sweep untouched and the ordinary loop runs.
-	sweep := selections
-	if d := opts.Distributor; d != nil && mode == SolverWarm && opts.Exact &&
+	// leaves the local sweep untouched and the ordinary loop runs.
+	local := selections
+	if d := opts.Distributor; d != nil && opts.Exact &&
 		opts.Budget.Unlimited() && !truncated && len(selections) > 1 {
 		stages.Enter("select")
-		merged, ok, derr := distributeSweep(ctx, d, models, opts, len(selections), gen, prog, run)
+		dist := fresh()
+		shards, ok, derr := distributeSweep(ctx, d, models, opts, len(selections), dist, run)
 		if derr != nil {
 			return nil, derr
 		}
 		if ok {
-			best = merged.best
-			bestNodes, bestCost = merged.bestNodes, merged.bestCost
-			res.Candidates = merged.candidates
-			prog.Candidates(int64(res.Candidates))
-			prog.Best(int64(best.Complexity()))
-			if merged.minSel >= 0 {
-				minSel = merged.minSel
-			}
+			sw = dist
 			run.Counter("core.sweep.distributed").Inc()
-			run.Counter("core.sweep.shards").Add(int64(merged.shards))
-			sweep = nil
+			run.Counter("core.sweep.shards").Add(int64(shards))
+			local = nil
 		} else {
 			run.Counter("core.sweep.local_fallback").Inc()
 		}
 	}
-search:
-	for idx, sel := range sweep {
+	for idx, sel := range local {
 		// Each select span carries the sweep fraction in parts per
 		// million: successive spans of one run are monotone, an invariant
 		// tracecheck validates on recorded traces.
@@ -388,102 +347,19 @@ search:
 			degrade("select")
 			break
 		}
-		if jointSkip != nil && jointSkip[idx] {
-			continue // whole subtree duplicates an earlier one
-		}
-		nodes := tpg.Reduce(classes, sel)
-		nodeSig := nodeSignature(nodes)
-		if seenNodeSets[nodeSig] {
-			continue // different selections can reduce to the same TPG
-		}
-		seenNodeSets[nodeSig] = true
-		stages.Enter("atsp")
-		patterns, cost, exactCost, err := orderPatterns(m, nodes, orderConfig{
-			exact:    opts.Exact,
-			workers:  workers,
-			preferBB: preferBB,
-			warm:     prevOrder,
-		}, cache, degrade)
-		if err != nil {
-			if budget.IsHard(err) {
-				return nil, err
-			}
-			lastErr = err
-			continue
-		}
-		if preferBB {
-			prevOrder = patterns[0]
-		}
-		if exactCost {
-			selCost[nodeSig] = cost
-			if minSel < 0 || cost < minSel {
-				minSel = cost
-			}
-		}
-		seenOrder := map[string]bool{}
-		for _, ordered := range patterns {
-			if sig := orderSignature(ordered); seenOrder[sig] {
-				continue
-			} else {
-				seenOrder[sig] = true
-			}
-			stages.Enter("assemble")
-			cands, err := gts.AssembleMeter(m, ordered, opts.Beam)
-			if err != nil {
-				if budget.IsHard(err) {
-					return nil, err
-				}
-				lastErr = err
-				continue
-			}
-			for _, cand := range cands {
-				if lim := opts.Budget.Candidates; lim > 0 && res.Candidates >= lim {
-					degrade("assemble")
-					break search
-				}
-				res.Candidates++
-				prog.Candidates(int64(res.Candidates))
-				if best != nil && cand.Complexity() >= best.Complexity()+2 {
-					continue // too long to beat the incumbent even after shrinking
-				}
-				stages.Enter("validate")
-				ok := gen.complete(cand)
-				if gen.err != nil {
-					return nil, gen.err
-				}
-				if !ok {
-					continue
-				}
-				if !opts.DisableShrink {
-					stages.Enter("shrink")
-					cand = gen.shrink(cand)
-					if gen.err != nil {
-						return nil, gen.err
-					}
-				}
-				if better(cand, best) {
-					best = cand
-					bestNodes, bestCost = len(nodes), cost
-					prog.Best(int64(best.Complexity()))
-				}
-			}
+		if _, err := sw.produce(sel, sw.fold); errors.Is(err, errSweepStop) {
+			break
+		} else if err != nil {
+			return nil, err
 		}
 	}
+	best, lastErr := sw.best, sw.lastErr
+	res.Candidates = sw.candidates
 	if gen.softStopped {
 		degrade("shrink")
 	}
-	if minSel >= 0 {
-		res.MinSelectionCost = minSel
-	}
-	if mode == SolverJoint && opts.Exact && opts.Budget.Unlimited() {
-		// The optimality certificate explores the *full* choice product
-		// (metrics only — the Result is already fixed by the sweep above).
-		// Budgeted runs skip it: a budget is a statement about this run's
-		// resources, and the certificate is strictly extra work.
-		stages.Enter("certify")
-		if err := runCertificate(m, classes, selCost, minSel, workers, cache, run); err != nil {
-			return nil, err
-		}
+	if sw.minSel >= 0 {
+		res.MinSelectionCost = sw.minSel
 	}
 	if best == nil && !opts.DisableFallback {
 		stages.Enter("fallback")
@@ -520,8 +396,8 @@ search:
 	}
 	res.Test = best
 	res.Complexity = best.Complexity()
-	res.Nodes = bestNodes
-	res.PathCost = bestCost
+	res.Nodes = sw.bestNodes
+	res.PathCost = sw.bestCost
 	res.Coverage = cov
 	if cache != nil && !res.Degraded {
 		cache.Put(resKey, &cachedResult{
@@ -671,11 +547,11 @@ type tourFragment struct {
 	cost  int
 }
 
-// tpgCostFragment is a memoised cost-only exact solve: the optimal path
-// cost of a TPG weight matrix plus one witnessing path. It is the
-// bound-state fragment the warm-started solvers feed on — the path primes
-// the next solve's incumbent so the assignment-tight root shortcut can
-// return without branching. Treated as immutable once cached.
+// tpgCostFragment is the optimal path cost of a TPG weight matrix plus
+// one witnessing path. It is the bound-state fragment the warm-started
+// solver feeds on — the path primes a later run's incumbent so the
+// assignment-tight root shortcut can return without branching. Treated
+// as immutable once cached.
 type tpgCostFragment struct {
 	cost int
 	path []int
@@ -751,47 +627,61 @@ func visitCost(g *tpg.Graph, starts []int, p []int) int {
 	return starts[p[0]] + atsp.Matrix(g.Weight).PathCost(p)
 }
 
-// orderConfig tunes one orderPatterns call.
-type orderConfig struct {
-	// exact requests the exact solve (false: layered heuristics).
-	exact bool
-	// workers is the exact solver's fan-out.
-	workers int
-	// preferBB routes exact cost solves to the warm-startable assignment
-	// branch and bound instead of Held–Karp (the warm and joint modes).
-	preferBB bool
-	// warm is the previous selection's pattern ordering, threaded through
-	// the sweep as the next solve's incumbent seed (preferBB only).
-	warm []fsm.Pattern
-}
-
-// orderPatterns solves the constrained open-path ATSP over the TPG and
-// returns the pattern orderings worth assembling: every optimal visit (the
-// rewrite engine folds different optimal orders into March tests of
-// different quality) plus each one reversed. In heuristic mode a single
-// near-optimal path and its reverse are returned. When the exact solvers
-// exhaust the meter's node budget the ordering degrades to the heuristic
-// path automatically and degrade("atsp") records the downgrade. The exact
-// solve fans its branch-and-bound subtrees over cfg.workers goroutines
-// and, with a non-nil cache, is memoised under the weight-matrix
-// fingerprint. The third result reports whether the returned cost is an
-// exact optimum (false after a heuristic downgrade). Whatever the config,
-// the returned orderings and cost are byte-identical — only solver effort
-// varies.
-func orderPatterns(m *budget.Meter, nodes []tpg.Node, cfg orderConfig, cache *memo.Cache, degrade func(string)) ([][]fsm.Pattern, int, bool, error) {
-	g := tpg.New(nodes)
-	if len(nodes) == 1 {
-		return [][]fsm.Pattern{{nodes[0].Pattern}}, g.StartCost(0) + g.NodeCost(0), true, nil
-	}
-	starts := make([]int, len(nodes))
-	total := 0
+// tpgInstance builds the open-path ATSP instance of a reduced node set:
+// the TPG, each node's start cost, and the summed node costs every visit
+// pays on top of the path's arc costs.
+func tpgInstance(nodes []tpg.Node) (g *tpg.Graph, starts []int, total int) {
+	g = tpg.New(nodes)
+	starts = make([]int, len(nodes))
 	for b := range nodes {
 		starts[b] = g.StartCost(b)
 		total += g.NodeCost(b)
 	}
+	return g, starts, total
+}
+
+// orderings maps solved paths onto pattern orderings: each path forward,
+// then reversed.
+func orderings(nodes []tpg.Node, paths [][]int) [][]fsm.Pattern {
+	var orders [][]fsm.Pattern
+	for _, path := range paths {
+		forward := make([]fsm.Pattern, len(path))
+		backward := make([]fsm.Pattern, len(path))
+		for k, v := range path {
+			forward[k] = nodes[v].Pattern
+			backward[len(path)-1-k] = nodes[v].Pattern
+		}
+		orders = append(orders, forward, backward)
+	}
+	return orders
+}
+
+// order solves the constrained open-path ATSP over the TPG and returns
+// the pattern orderings worth assembling: every optimal visit (the
+// rewrite engine folds different optimal orders into March tests of
+// different quality) plus each one reversed. In heuristic mode a single
+// near-optimal path and its reverse are returned. When the exact solvers
+// exhaust the meter's node budget the ordering degrades to the heuristic
+// path automatically and degrade("atsp") records the downgrade.
+//
+// The exact solve is the warm-started assignment branch and bound: the
+// previous selection's first ordering (the warm chain) and, with a cache,
+// a cost fragment left by an earlier run prime its incumbent. It fans its
+// subtrees over the sweep's workers and, with a non-nil cache, is
+// memoised under the weight-matrix fingerprint. The third result reports
+// whether the returned cost is an exact optimum (false after a heuristic
+// downgrade). Warm paths prime node counts only: the returned orderings
+// and cost equal a cold solve's.
+func (s *sweep) order(nodes []tpg.Node) ([][]fsm.Pattern, int, bool, error) {
+	g, starts, total := tpgInstance(nodes)
+	if len(nodes) == 1 {
+		s.prevOrder = []fsm.Pattern{nodes[0].Pattern}
+		return [][]fsm.Pattern{s.prevOrder}, starts[0] + total, true, nil
+	}
+	m, cache := s.m, s.cache
 	var paths [][]int
 	var cost int
-	exact, exactCost := cfg.exact, false
+	exact, exactCost := s.opts.Exact, false
 	if exact {
 		var key string
 		if cache != nil {
@@ -808,34 +698,29 @@ func orderPatterns(m *budget.Meter, nodes []tpg.Node, cfg orderConfig, cache *me
 			}
 		}
 		if paths == nil {
-			var warmPath []int
-			if cfg.preferBB {
-				warmPath = warmFromPrev(g, nodes, starts, cfg.warm)
-				if cache != nil {
-					// A cost fragment left by an earlier run (or the joint
-					// certificate) competes with the sweep neighbour for the
-					// warm incumbent: the cheaper path primes harder, and on
-					// a restart the fragment is often exactly optimal, so the
-					// solve short-circuits at the root. Fragments crossing a
-					// process boundary are validated before use, and a tie
-					// keeps the sweep neighbour — runs without a disk tier
-					// behave exactly as before. Warm paths prime node counts
-					// only, never the returned orderings (see PathOptions).
-					if v, ok := cache.Get(tpgCostKey(g, starts)); ok {
-						obs.From(m.Context()).Counter("memo.tpgcost_hits").Inc()
-						if fp := v.(*tpgCostFragment).path; validWarmPath(fp, len(nodes)) {
-							if warmPath == nil || visitCost(g, starts, fp) < visitCost(g, starts, warmPath) {
-								obs.From(m.Context()).Counter("core.warm.primed").Inc()
-								warmPath = fp
-							}
+			warmPath := warmFromPrev(g, nodes, starts, s.prevOrder)
+			if cache != nil {
+				// A cost fragment left by an earlier run competes with the
+				// sweep neighbour for the warm incumbent: the cheaper path
+				// primes harder, and on a restart the fragment is often
+				// exactly optimal, so the solve short-circuits at the root.
+				// Fragments crossing a process boundary are validated
+				// before use, and a tie keeps the sweep neighbour — runs
+				// without a disk tier behave exactly as before.
+				if v, ok := cache.Get(tpgCostKey(g, starts)); ok {
+					obs.From(m.Context()).Counter("memo.tpgcost_hits").Inc()
+					if fp := v.(*tpgCostFragment).path; validWarmPath(fp, len(nodes)) {
+						if warmPath == nil || visitCost(g, starts, fp) < visitCost(g, starts, warmPath) {
+							obs.From(m.Context()).Counter("core.warm.primed").Inc()
+							warmPath = fp
 						}
 					}
 				}
 			}
 			var err error
 			paths, cost, err = atsp.OptimalPathsOpt(m, atsp.Matrix(g.Weight), starts, 8, atsp.PathOptions{
-				Workers:  cfg.workers,
-				PreferBB: cfg.preferBB,
+				Workers:  s.workers,
+				PreferBB: true,
 				WarmPath: warmPath,
 			})
 			switch {
@@ -846,7 +731,7 @@ func orderPatterns(m *budget.Meter, nodes []tpg.Node, cfg orderConfig, cache *me
 					cache.Put(tpgCostKey(g, starts), &tpgCostFragment{cost: cost, path: paths[0]})
 				}
 			case errors.Is(err, budget.ErrBudgetExhausted):
-				degrade("atsp")
+				s.degrade("atsp")
 				exact = false
 			default:
 				return nil, 0, false, err
@@ -854,59 +739,15 @@ func orderPatterns(m *budget.Meter, nodes []tpg.Node, cfg orderConfig, cache *me
 		}
 	}
 	if !exact {
-		path, c, err := atsp.PathWorkers(m, atsp.Matrix(g.Weight), starts, false, cfg.workers)
+		path, c, err := atsp.PathWorkers(m, atsp.Matrix(g.Weight), starts, false, s.workers)
 		if err != nil {
 			return nil, 0, false, err
 		}
 		paths, cost = [][]int{path}, c
 	}
-	var orders [][]fsm.Pattern
-	for _, path := range paths {
-		forward := make([]fsm.Pattern, len(path))
-		backward := make([]fsm.Pattern, len(path))
-		for k, v := range path {
-			forward[k] = nodes[v].Pattern
-			backward[len(path)-1-k] = nodes[v].Pattern
-		}
-		orders = append(orders, forward, backward)
-	}
+	orders := orderings(nodes, paths)
+	s.prevOrder = orders[0]
 	return orders, cost + total, exactCost, nil
-}
-
-// selectionCost is the joint certificate's leaf solve: the exact visit
-// cost of one reduced node set, computed cost-only (the warm shortcut may
-// return any optimal tour) and memoised under the tpgcost namespace.
-func selectionCost(m *budget.Meter, nodes []tpg.Node, workers int, cache *memo.Cache) (int, error) {
-	g := tpg.New(nodes)
-	if len(nodes) == 1 {
-		return g.StartCost(0) + g.NodeCost(0), nil
-	}
-	starts := make([]int, len(nodes))
-	total := 0
-	for b := range nodes {
-		starts[b] = g.StartCost(b)
-		total += g.NodeCost(b)
-	}
-	var key string
-	if cache != nil {
-		key = tpgCostKey(g, starts)
-		if v, ok := cache.Get(key); ok {
-			obs.From(m.Context()).Counter("memo.tpgcost_hits").Inc()
-			return v.(*tpgCostFragment).cost + total, nil
-		}
-	}
-	path, cost, err := atsp.PathOpt(m, atsp.Matrix(g.Weight), starts, true, atsp.PathOptions{
-		Workers:  workers,
-		PreferBB: true,
-		CostOnly: true,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if cache != nil {
-		cache.Put(key, &tpgCostFragment{cost: cost, path: path})
-	}
-	return cost + total, nil
 }
 
 // genContext memoises completeness verdicts by test signature: the same

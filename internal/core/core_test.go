@@ -65,6 +65,7 @@ func TestTable3(t *testing.T) {
 // complexities against the independent branch-and-bound search for the
 // rows whose search space is small.
 func TestTable3OptimalityFastRows(t *testing.T) {
+	t.Parallel()
 	for _, row := range []struct {
 		list string
 		cap  int
@@ -93,6 +94,9 @@ func TestTable3OptimalityRow5(t *testing.T) {
 	if testing.Short() {
 		t.Skip("≈20 s branch-and-bound certification")
 	}
+	// The single-threaded certification is the package's long pole; it
+	// shares no state, so it overlaps the other parallel tests.
+	t.Parallel()
 	res := generate(t, "SAF,TF,ADF,CFin,CFid", DefaultOptions())
 	models, _ := fault.ParseList("SAF,TF,ADF,CFin,CFid")
 	opt, _, err := baseline.BranchBound(fault.Instances(models), 10)
@@ -140,6 +144,7 @@ func TestFullTaxonomy(t *testing.T) {
 }
 
 func TestHeuristicModeStaysValid(t *testing.T) {
+	t.Parallel()
 	opts := DefaultOptions()
 	opts.Exact = false
 	res := generate(t, "SAF,TF,ADF,CFin", opts)
@@ -191,6 +196,7 @@ func TestGenerateErrors(t *testing.T) {
 // TestRandomSublistsPropertyBased: any random combination of fault models
 // yields a complete, operation-minimal (no single removable op) test.
 func TestRandomSublistsPropertyBased(t *testing.T) {
+	t.Parallel()
 	names := []string{"SAF", "TF", "WDF", "RDF", "DRDF", "IRF", "SOF", "ADF", "CFin", "CFid", "CFst"}
 	rng := rand.New(rand.NewSource(20260707))
 	trials := 8

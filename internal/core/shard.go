@@ -31,7 +31,7 @@
 //     surface equal-complexity tests the sequential prune had dropped.
 //
 // Distribution is offered only where that argument holds wholesale:
-// exact solves, warm mode, unlimited budget, no selection truncation.
+// exact solves, unlimited budget, no selection truncation.
 // Everything else — and every distribution failure — runs the ordinary
 // sequential sweep. The distributor is infrastructure, never a
 // correctness dependency.
@@ -43,9 +43,7 @@ import (
 	"sync"
 
 	"marchgen/fault"
-	"marchgen/fsm"
 	"marchgen/internal/budget"
-	"marchgen/internal/gts"
 	"marchgen/internal/obs"
 	"marchgen/internal/tpg"
 	"marchgen/march"
@@ -144,92 +142,58 @@ func RunShardModels(ctx context.Context, models []fault.Model, opts Options, sh 
 	span.SetInt("lo", int64(sh.Lo)).SetInt("hi", int64(sh.Hi))
 	defer span.End()
 
+	// Distribution is offered to exact, unbudgeted sweeps only: a shard
+	// solves exactly, and the exact solvers cannot soft-exhaust.
+	opts.Exact = true
+	sw := newSweep(m, classes, opts, workers, opts.Cache, func(string) {})
+	keep := func(sel *ShardSelection, cands []*march.Test) error {
+		for _, cand := range cands {
+			sel.Candidates = append(sel.Candidates, cand.String())
+		}
+		return nil
+	}
 	out := &ShardOutcome{Shard: sh}
-	var prevOrder []fsm.Pattern
-	seen := map[string]bool{}
-	noDegrade := func(string) {} // unbudgeted: the exact solvers cannot soft-exhaust
 	for idx := sh.Lo; idx < sh.Hi; idx++ {
 		if err := m.CheckNow(); err != nil {
 			return nil, err
 		}
-		nodes := tpg.Reduce(classes, selections[idx])
-		sig := nodeSignature(nodes)
-		if seen[sig] {
-			continue
-		}
-		seen[sig] = true
-		patterns, cost, exactCost, err := orderPatterns(m, nodes, orderConfig{
-			exact:    true,
-			workers:  workers,
-			preferBB: true,
-			warm:     prevOrder,
-		}, opts.Cache, noDegrade)
+		sel, err := sw.produce(selections[idx], keep)
 		if err != nil {
-			if budget.IsHard(err) {
-				return nil, err
-			}
-			continue // soft solver failure: skip the selection, as the sequential sweep does
+			return nil, err
 		}
-		prevOrder = patterns[0]
-		sel := ShardSelection{Sig: sig, Nodes: len(nodes), Cost: cost, ExactCost: exactCost}
-		seenOrder := map[string]bool{}
-		for _, ordered := range patterns {
-			if osig := orderSignature(ordered); seenOrder[osig] {
-				continue
-			} else {
-				seenOrder[osig] = true
-			}
-			cands, err := gts.AssembleMeter(m, ordered, opts.Beam)
-			if err != nil {
-				if budget.IsHard(err) {
-					return nil, err
-				}
-				continue
-			}
-			for _, cand := range cands {
-				sel.Candidates = append(sel.Candidates, cand.String())
-			}
+		if sel != nil {
+			out.Selections = append(out.Selections, *sel)
 		}
-		out.Selections = append(out.Selections, sel)
 	}
 	run.Counter("core.sweep.shards_run").Inc()
 	return out, nil
 }
 
-// mergedSweep is the coordinator-side replay of every shard's candidate
-// stream back into the sequential sweep's observable state.
-type mergedSweep struct {
-	best                *march.Test
-	bestNodes, bestCost int
-	candidates          int
-	minSel              int
-	shards              int
-}
-
 // distributeSweep offers the sweep to the distributor, then replays the
-// sequential fold over the merged candidate streams (see the package
-// comment). ok is false — and the caller runs the ordinary sequential
-// sweep — when the distributor declines, returns a malformed partition,
-// any shard fails, a candidate fails to parse, or no candidate
-// validated. A non-nil err is a hard engine error from the replay's
-// validation (context cancellation, simulator failure) and aborts the
-// whole run, exactly as it would mid-loop sequentially.
-func distributeSweep(ctx context.Context, d SweepDistributor, models []fault.Model, opts Options, total int, gen *genContext, prog *obs.Progress, run *obs.Run) (_ *mergedSweep, ok bool, err error) {
+// sequential fold into sw over the merged candidate streams (see the
+// package comment) and returns the shard count. ok is false — and the
+// caller discards sw and runs the ordinary sequential sweep — when the
+// distributor declines, returns a malformed partition, any shard fails,
+// a candidate fails to parse, or no candidate validated. A non-nil err
+// is a hard engine error from the replay's validation (context
+// cancellation, simulator failure) and aborts the whole run, exactly as
+// it would mid-loop sequentially.
+func distributeSweep(ctx context.Context, d SweepDistributor, models []fault.Model, opts Options, total int, sw *sweep, run *obs.Run) (_ int, ok bool, err error) {
 	shards := d.Shards(total)
 	if len(shards) < 2 {
-		return nil, false, nil
+		return 0, false, nil
 	}
 	want := 0
 	for _, sh := range shards {
 		if sh.Lo != want || sh.Hi <= sh.Lo {
 			run.Counter("core.sweep.bad_partition").Inc()
-			return nil, false, nil
+			return 0, false, nil
 		}
 		want = sh.Hi
 	}
 	if want != total {
 		run.Counter("core.sweep.bad_partition").Inc()
-		return nil, false, nil
+		return 0, false, nil
 	}
 	outs := make([]*ShardOutcome, len(shards))
 	errs := make([]error, len(shards))
@@ -249,7 +213,7 @@ func distributeSweep(ctx context.Context, d SweepDistributor, models []fault.Mod
 				// reading even while shards complete out of order.
 				mu.Lock()
 				completed += shards[i].Hi - shards[i].Lo
-				prog.Selection(int64(completed), int64(total))
+				sw.prog.Selection(int64(completed), int64(total))
 				mu.Unlock()
 			}
 		}(i)
@@ -258,57 +222,34 @@ func distributeSweep(ctx context.Context, d SweepDistributor, models []fault.Mod
 	for i := range shards {
 		if errs[i] != nil || outs[i] == nil {
 			run.Counter("core.sweep.shard_errors").Inc()
-			return nil, false, nil
+			return 0, false, nil
 		}
 	}
 
-	// The replay: the sequential loop body over the concatenated streams,
-	// in ascending selection order — global dedup, candidate count, the
-	// incumbent prune, validation, shrinking, better().
-	merged := &mergedSweep{minSel: -1, shards: len(shards)}
-	seenSig := map[string]bool{}
+	// The replay: the sequential fold over the concatenated streams, in
+	// ascending selection order, after the same global node-set dedup.
 	for _, out := range outs {
 		for _, sel := range out.Selections {
-			if seenSig[sel.Sig] {
+			if !sw.firstSeen(sel.Sig) {
 				continue
 			}
-			seenSig[sel.Sig] = true
-			if sel.ExactCost && (merged.minSel < 0 || sel.Cost < merged.minSel) {
-				merged.minSel = sel.Cost
-			}
-			for _, cs := range sel.Candidates {
-				merged.candidates++
+			sw.solved(&sel)
+			cands := make([]*march.Test, len(sel.Candidates))
+			for k, cs := range sel.Candidates {
 				cand, perr := march.Parse(cs)
 				if perr != nil {
 					run.Counter("core.sweep.shard_errors").Inc()
-					return nil, false, nil
+					return 0, false, nil
 				}
-				if merged.best != nil && cand.Complexity() >= merged.best.Complexity()+2 {
-					continue // too long to beat the incumbent even after shrinking
-				}
-				valid := gen.complete(cand)
-				if gen.err != nil {
-					return nil, false, gen.err
-				}
-				if !valid {
-					continue
-				}
-				if !opts.DisableShrink {
-					cand = gen.shrink(cand)
-					if gen.err != nil {
-						return nil, false, gen.err
-					}
-				}
-				if better(cand, merged.best) {
-					merged.best = cand
-					merged.bestNodes, merged.bestCost = sel.Nodes, sel.Cost
-					prog.Best(int64(merged.best.Complexity()))
-				}
+				cands[k] = cand
+			}
+			if err := sw.fold(&sel, cands); err != nil {
+				return 0, false, err
 			}
 		}
 	}
-	if merged.best == nil {
-		return nil, false, nil
+	if sw.best == nil {
+		return 0, false, nil
 	}
-	return merged, true, nil
+	return len(shards), true, nil
 }

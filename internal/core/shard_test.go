@@ -8,8 +8,12 @@ import (
 	"testing"
 
 	"marchgen/fault"
+	"marchgen/fsm"
+	"marchgen/internal/atsp"
 	"marchgen/internal/budget"
+	"marchgen/internal/gts"
 	"marchgen/internal/obs"
+	"marchgen/internal/tpg"
 )
 
 // localDistributor runs every shard in-process through RunShardModels —
@@ -39,17 +43,16 @@ func (d *localDistributor) RunShard(ctx context.Context, models []fault.Model, o
 	return RunShardModels(ctx, models, opts, sh)
 }
 
-// warmOptions returns the only configuration distribution is offered to.
+// warmOptions returns the configuration distribution is offered to:
+// exact, warm-chained solves under an unlimited budget.
 func warmOptions() Options {
-	opts := DefaultOptions()
-	opts.SolverMode = SolverWarm
-	return opts
+	return DefaultOptions()
 }
 
 // TestDistributedSweepByteIdentical is the tentpole's correctness lock:
 // for every Table 3 fault list whose sweep has more than one selection
 // and several shard counts, the distributed sweep must reproduce the
-// sequential SolverWarm result byte-for-byte — same test string,
+// sequential result byte-for-byte — same test string,
 // candidate count, minimum selection cost and winning selection stats.
 // (SAF, SAF,TF and the five-fault list reduce to a single selection, so
 // distribution correctly never engages for them — see
@@ -120,23 +123,91 @@ func TestSingleSelectionSweepNotDistributed(t *testing.T) {
 	}
 }
 
-// TestDistributedMatchesEnumerate locks the cross-mode invariant the
-// serve tier leans on: the distributed warm sweep equals not just
-// sequential warm but the enumerate baseline too, so replicas can
-// run warm without changing what clients observe.
+// enumerateBaseline replays the §5 sweep as an enumerate-only solver
+// would: every deduplicated selection is ordered by a cold
+// atsp.OptimalPaths solve (no warm chain, no priming), each distinct
+// ordering is assembled and folded by the sweep's own fold, and the
+// winner is relaxed as GenerateCtx finalises it. It returns the test
+// and the minimum selection cost.
+func enumerateBaseline(t *testing.T, list string) (string, int) {
+	t.Helper()
+	models, err := fault.ParseList(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	instances := fault.Instances(models)
+	classes := tpg.Classes(instances)
+	sw := newSweep(nil, classes, opts, 1, nil, func(stage string) {
+		t.Fatalf("%s: unbudgeted baseline degraded at %s", list, stage)
+	})
+	sw.gen = &genContext{
+		ctx:       context.Background(),
+		instances: instances,
+		faultKey:  fault.Key(instances),
+		verdict:   map[string]bool{},
+		workers:   1,
+	}
+	for _, sel := range tpg.Selections(classes, opts.SelectionLimit) {
+		nodes := tpg.Reduce(classes, sel)
+		sig := nodeSignature(nodes)
+		if !sw.firstSeen(sig) {
+			continue
+		}
+		g, starts, total := tpgInstance(nodes)
+		orders := [][]fsm.Pattern{{nodes[0].Pattern}}
+		cost := starts[0] + total
+		if len(nodes) > 1 {
+			paths, c, err := atsp.OptimalPaths(atsp.Matrix(g.Weight), starts, 8)
+			if err != nil {
+				t.Fatalf("%s: cold solve: %v", list, err)
+			}
+			orders, cost = orderings(nodes, paths), c+total
+		}
+		out := &ShardSelection{Sig: sig, Nodes: len(nodes), Cost: cost, ExactCost: true}
+		sw.solved(out)
+		seenOrder := map[string]bool{}
+		for _, ordered := range orders {
+			if osig := orderSignature(ordered); seenOrder[osig] {
+				continue
+			} else {
+				seenOrder[osig] = true
+			}
+			cands, err := gts.AssembleMeter(nil, ordered, opts.Beam)
+			if err != nil {
+				continue
+			}
+			if err := sw.fold(out, cands); err != nil {
+				t.Fatalf("%s: fold: %v", list, err)
+			}
+		}
+	}
+	if sw.best == nil {
+		t.Fatalf("%s: baseline found no valid test", list)
+	}
+	best := sw.gen.relaxOrders(sw.best)
+	if sw.gen.err != nil {
+		t.Fatal(sw.gen.err)
+	}
+	return best.String(), sw.minSel
+}
+
+// TestDistributedMatchesEnumerate locks the cross-solver invariant the
+// serve tier leans on: the distributed warm sweep equals not just the
+// sequential warm sweep but an enumerate-only baseline too (cold
+// optimal-path enumeration per selection), so replicas running the
+// warm-chained solver never change what clients observe.
 func TestDistributedMatchesEnumerate(t *testing.T) {
 	for _, list := range []string{"SAF,TF,ADF", "SAF,TF,ADF,CFin"} {
-		eopts := DefaultOptions()
-		eopts.SolverMode = SolverEnumerate
-		enum := generate(t, list, eopts)
+		enumTest, enumMin := enumerateBaseline(t, list)
 		opts := warmOptions()
 		opts.Distributor = &localDistributor{n: 3}
 		dist := generate(t, list, opts)
-		if dist.Test.String() != enum.Test.String() {
-			t.Fatalf("%s: distributed warm %q != enumerate %q", list, dist.Test, enum.Test)
+		if dist.Test.String() != enumTest {
+			t.Fatalf("%s: distributed warm %q != enumerate %q", list, dist.Test, enumTest)
 		}
-		if dist.MinSelectionCost != enum.MinSelectionCost {
-			t.Fatalf("%s: min selection cost %d != %d", list, dist.MinSelectionCost, enum.MinSelectionCost)
+		if dist.MinSelectionCost != enumMin {
+			t.Fatalf("%s: min selection cost %d != %d", list, dist.MinSelectionCost, enumMin)
 		}
 	}
 }

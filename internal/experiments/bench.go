@@ -42,34 +42,6 @@ type BenchRow struct {
 	KernelAllocsPerOp uint64 `json:"kernel_allocs_per_op,omitempty"`
 	// ScalarAllocsPerOp counts heap allocations per scalar evaluation.
 	ScalarAllocsPerOp uint64 `json:"scalar_allocs_per_op,omitempty"`
-	// SolverNodesEnumerate / SolverNodesWarm / SolverNodesJoint count the
-	// total exact-solver nodes — Held–Karp states plus branch-and-bound
-	// expansions plus optimal-path enumeration nodes — of one single-worker
-	// cold-cache generation per solver mode. The three modes emit the
-	// byte-identical test (the generator aborts otherwise); only this
-	// effort differs.
-	SolverNodesEnumerate int64 `json:"solver_nodes_enumerate,omitempty"`
-	SolverNodesWarm      int64 `json:"solver_nodes_warm,omitempty"`
-	SolverNodesJoint     int64 `json:"solver_nodes_joint,omitempty"`
-	// SolverNodeReduction is SolverNodesEnumerate / SolverNodesWarm.
-	SolverNodeReduction float64 `json:"solver_node_reduction,omitempty"`
-	// SolverWarmNS / SolverJointNS time one single-worker cold-cache
-	// generation under the warm and joint solver modes (minimum over reps;
-	// the sequential_ns column is the enumerate-mode equivalent).
-	SolverWarmNS  int64 `json:"solver_warm_ns,omitempty"`
-	SolverJointNS int64 `json:"solver_joint_ns,omitempty"`
-	// SolverEscalations / SolverEscalationPrunes count the bound-ladder
-	// escalations of the warm run (branch-and-bound Lagrangian plus
-	// enumeration assignment-bound climbs) and how many of them pruned a
-	// node the first rung had let through.
-	SolverEscalations      int64 `json:"solver_escalations,omitempty"`
-	SolverEscalationPrunes int64 `json:"solver_escalation_prunes,omitempty"`
-	// SolverAllocsEnumerate / SolverAllocsWarm count heap allocations of
-	// one whole single-worker cold-cache generation per solver mode,
-	// tracking the solver's allocation discipline (pooled assignment
-	// states and matrices) release over release.
-	SolverAllocsEnumerate uint64 `json:"solver_allocs_enumerate,omitempty"`
-	SolverAllocsWarm      uint64 `json:"solver_allocs_warm,omitempty"`
 }
 
 // BenchEntry is one labelled measurement campaign: a full Table 3 sweep
@@ -84,6 +56,31 @@ type BenchEntry struct {
 	Reps int `json:"reps"`
 	// Rows holds one measurement per Table 3 fault list.
 	Rows []BenchRow `json:"rows"`
+
+	// raw is the entry as decoded. A decoded entry re-encodes from it,
+	// so rewriting the file keeps columns of measurements this build no
+	// longer takes (the retired solver-mode columns, say) in the history.
+	raw json.RawMessage
+}
+
+// UnmarshalJSON decodes the entry and keeps its raw bytes.
+func (e *BenchEntry) UnmarshalJSON(data []byte) error {
+	type fields BenchEntry
+	if err := json.Unmarshal(data, (*fields)(e)); err != nil {
+		return err
+	}
+	e.raw = append(json.RawMessage(nil), data...)
+	return nil
+}
+
+// MarshalJSON encodes a decoded entry as it was read, and a new one from
+// its fields.
+func (e BenchEntry) MarshalJSON() ([]byte, error) {
+	if e.raw != nil {
+		return e.raw, nil
+	}
+	type fields BenchEntry
+	return json.Marshal(fields(e))
 }
 
 // BenchFile is the BENCH_generate.json schema: an append-only list of
@@ -187,45 +184,6 @@ func FormatBenchKernel(e *BenchEntry) string {
 			r.Faults, r.Complexity,
 			formatNS(r.ScalarEvalNS), formatNS(r.KernelEvalNS),
 			r.SpeedupKernel, r.ScalarAllocsPerOp, r.KernelAllocsPerOp)
-	}
-	return b.String()
-}
-
-// FormatBenchSolver renders the solver-mode node-count columns of a bench
-// entry as a markdown table (empty string when the entry is nil or carries
-// no solver measurements).
-func FormatBenchSolver(e *BenchEntry) string {
-	if e == nil {
-		return ""
-	}
-	any := false
-	for _, r := range e.Rows {
-		if r.SolverNodesEnumerate > 0 {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString("| fault list | kn | enumerate nodes | warm nodes | joint nodes | reduction | escalations | allocs enum→warm | enumerate time | warm time |\n")
-	b.WriteString("|---|---|---|---|---|---|---|---|---|---|\n")
-	for _, r := range e.Rows {
-		if r.SolverNodesEnumerate <= 0 {
-			continue
-		}
-		esc, allocs := "—", "—"
-		if r.SolverEscalations > 0 {
-			esc = fmt.Sprintf("%d (%d pruned)", r.SolverEscalations, r.SolverEscalationPrunes)
-		}
-		if r.SolverAllocsEnumerate > 0 {
-			allocs = fmt.Sprintf("%d→%d", r.SolverAllocsEnumerate, r.SolverAllocsWarm)
-		}
-		fmt.Fprintf(&b, "| %s | %dn | %d | %d | %d | %.1f× | %s | %s | %s | %s |\n",
-			r.Faults, r.Complexity,
-			r.SolverNodesEnumerate, r.SolverNodesWarm, r.SolverNodesJoint,
-			r.SolverNodeReduction, esc, allocs, formatNS(r.SequentialNS), formatNS(r.SolverWarmNS))
 	}
 	return b.String()
 }

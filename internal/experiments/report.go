@@ -221,30 +221,27 @@ arc constraints invalidated. Bound quality is measured, not assumed:
 - **Tightness** — on TPG matrices the root AP bound almost always equals
   the warm-started incumbent (the previous selection's patched tour), so
   cost-only solves finish at the root with zero branching. The
-  per-row node counts before and after live in
-  ` + "`testdata/solver_nodes.golden`" + `: total exact-solver nodes
-  (Held–Karp states + branch-and-bound expansions + enumeration nodes)
-  per Table 3 row and solver mode, at one worker on a cold cache, so any
-  bound regression shows up as a reviewed golden diff.
-- **Output invariance** — the warm and joint modes must emit the
-  byte-identical test of the enumerate baseline; strict pruning plus
-  lex-min tie-breaking makes the returned tour schedule-independent.
-  ` + "`TestSolverModesDifferential`" + `, ` + "`FuzzWarmStartEquivalence`" + ` and
-  ` + "`FuzzJointSelectionEquivalence`" + ` pin this across the fault library,
-  worker counts and fuzz-derived instances; CI runs them in the
-  ` + "`solver-differential`" + ` job.
+  per-row node counts live in ` + "`testdata/solver_nodes.golden`" + `:
+  total exact-solver nodes (branch-and-bound expansions + enumeration
+  nodes) per Table 3 row, at one worker on a cold cache, so any bound
+  regression shows up as a reviewed golden diff.
+- **Output invariance** — warm starts must not change what the solver
+  returns; strict pruning plus lex-min tie-breaking makes the returned
+  tour schedule-independent. ` + "`TestWarmChainMatchesColdSolve`" + ` checks
+  every deduplicated selection's warm-chained orderings against a cold
+  solve over the fault library at one and four workers, and
+  ` + "`FuzzWarmStartEquivalence`" + ` covers fuzz-derived instances; CI runs
+  them in the ` + "`solver-differential`" + ` job.
 
-The ` + "`solver-warmstart`" + ` bench entry records the node counts and
-single-worker times per mode; CI's bench smoke fails if the warm solver
-stops cutting total nodes by ≥ 3× on the complexity-6 rows
-(` + "`marchbench -require-solver-gain 3`" + `).
+Earlier versions offered ` + "`enumerate`" + ` and ` + "`joint`" + ` solver modes, a
+joint-mode optimality certificate and a two-rung bound-escalation ladder
+(a Lagrangian 1-arborescence bound for the branch and bound, an
+assignment bound for the enumeration). All of them emitted byte-identical
+tests. The ladder cut solver nodes (30337 → 4160 on SAF,TF,ADF,CFin) but
+moved no end-to-end number on the committed benchmark, so all of it was
+removed. Its measurements stay, untouched, in the ` + "`solver-warmstart`" + `
+and ` + "`solver-adaptive`" + ` entries of ` + "`BENCH_generate.json`" + `.
 `)
-	if bf, err := LoadBenchFile("BENCH_generate.json"); err == nil {
-		if tbl := FormatBenchSolver(bf.Entry("solver-warmstart")); tbl != "" {
-			b.WriteString("\nCommitted solver-entry measurements:\n\n")
-			b.WriteString(tbl)
-		}
-	}
 	b.WriteString(`
 ## Service throughput — closed-loop load on marchserve
 

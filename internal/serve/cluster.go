@@ -29,7 +29,6 @@ import (
 	"io"
 	"net/http"
 
-	"marchgen"
 	"marchgen/fault"
 	"marchgen/internal/cluster"
 	"marchgen/internal/core"
@@ -265,15 +264,11 @@ type sweepDistributor struct {
 
 // distributorFor returns the sweep distributor for a generate request,
 // or nil when the request is not distribution-eligible at the serve
-// layer: no replica set, heuristic solve, a budget in play, or a solver
-// mode other than warm (the mode whose shard merge is proven
-// byte-identical). The engine re-checks its own eligibility (exact,
-// unlimited, untruncated) before accepting the offer.
-func (s *Server) distributorFor(req *GenerateRequest, mode, budgetSpec string) core.SweepDistributor {
-	if mode == "" {
-		mode = marchgen.SolverWarm // the engine default: eligible
-	}
-	if s.cluster == nil || req.Heuristic || budgetSpec != "" || mode != marchgen.SolverWarm {
+// layer: no replica set, heuristic solve, or a budget in play. The
+// engine re-checks its own eligibility (exact, unlimited, untruncated)
+// before accepting the offer.
+func (s *Server) distributorFor(req *GenerateRequest, budgetSpec string) core.SweepDistributor {
+	if s.cluster == nil || req.Heuristic || budgetSpec != "" {
 		return nil
 	}
 	return &sweepDistributor{s: s, faults: req.Faults, selectionLimit: req.SelectionLimit}

@@ -327,37 +327,9 @@ func TestMemoEndpoints(t *testing.T) {
 	}
 }
 
-// TestSolverField locks the request-level solver selection: invalid
-// modes are usage errors, and a warm-mode request returns the same test
-// as the default mode (the cross-mode identity the replica tier needs).
-func TestSolverField(t *testing.T) {
-	marchgen.ResetCache()
-	_, ts := newTestServer(t, Config{})
-	resp, raw := post(t, ts.URL+"/v1/generate", GenerateRequest{Faults: "SAF", Solver: "annealing"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bogus solver: status %d, want 400: %s", resp.StatusCode, raw)
-	}
-
-	_, rawDefault := post(t, ts.URL+"/v1/generate", GenerateRequest{Faults: "SAF,TF"})
-	resp, rawWarm := post(t, ts.URL+"/v1/generate", GenerateRequest{Faults: "SAF,TF", Solver: "warm"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm solver: status %d: %s", resp.StatusCode, rawWarm)
-	}
-	var def, warm GenerateResponse
-	if err := json.Unmarshal(rawDefault, &def); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(rawWarm, &warm); err != nil {
-		t.Fatal(err)
-	}
-	if def.Test == "" || def.Test != warm.Test {
-		t.Fatalf("warm mode produced %q, default %q — modes must agree", warm.Test, def.Test)
-	}
-}
-
 // TestDistributedServeByteIdentical is the serve-layer half of the
-// tentpole's acceptance: a 3-replica set answering a warm-mode request
-// (whose sweep distributes across the set) returns exactly the test a
+// tentpole's acceptance: a 3-replica set answering a request whose
+// sweep distributes across the set returns exactly the test a
 // single-process run produces.
 func TestDistributedServeByteIdentical(t *testing.T) {
 	resetClusterGlobals(t)
@@ -383,7 +355,7 @@ func TestDistributedServeByteIdentical(t *testing.T) {
 	}
 	servers := make([]*Server, len(lns))
 	for i, ln := range lns {
-		servers[i] = startReplica(t, Config{Self: peers[i], Peers: peers, SolverMode: marchgen.SolverWarm}, ln)
+		servers[i] = startReplica(t, Config{Self: peers[i], Peers: peers}, ln)
 	}
 
 	resp, raw := post(t, "http://"+peers[0]+"/v1/generate", GenerateRequest{Faults: list})

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -70,14 +69,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			writeError(w, r, http.StatusBadRequest, "usage", err.Error())
 			return
 		}
-	}
-	switch req.Solver {
-	case "", marchgen.SolverEnumerate, marchgen.SolverWarm, marchgen.SolverJoint:
-	default:
-		sp.SetStr("outcome", "usage")
-		writeError(w, r, http.StatusBadRequest, "usage",
-			fmt.Sprintf("unknown solver mode %q (want enumerate, warm or joint)", req.Solver))
-		return
 	}
 	timeout, err := s.resolveTimeout(req.TimeoutMS)
 	if err != nil {
@@ -181,13 +172,6 @@ func (s *Server) executeGenerate(ctx context.Context, req *GenerateRequest) (*ma
 	if req.SelectionLimit > 0 {
 		opts = append(opts, marchgen.WithSelectionLimit(req.SelectionLimit))
 	}
-	mode := req.Solver
-	if mode == "" {
-		mode = s.cfg.SolverMode
-	}
-	if mode != "" {
-		opts = append(opts, marchgen.WithSolverMode(mode))
-	}
 	spec := req.Budget
 	if spec == "" {
 		spec = s.cfg.DefaultBudget
@@ -199,7 +183,7 @@ func (s *Server) executeGenerate(ctx context.Context, req *GenerateRequest) (*ma
 		}
 		opts = append(opts, marchgen.WithBudget(b))
 	}
-	if d := s.distributorFor(req, mode, spec); d != nil {
+	if d := s.distributorFor(req, spec); d != nil {
 		// marchgen.Option is a raw func over core.Options, so the
 		// distributor hook needs no public API surface.
 		opts = append(opts, marchgen.Option(func(o *core.Options) { o.Distributor = d }))

@@ -112,11 +112,6 @@ type Config struct {
 	// selection sweeps distribute across the set. Empty: single-node
 	// mode, all cluster endpoints answer 503 cluster_disabled.
 	Peers []string
-	// SolverMode is the default exact-sweep solver mode applied to
-	// generate requests that do not carry their own "solver" field:
-	// "enumerate", "warm" or "joint". Empty: the engine default (warm).
-	// Distributed sweeps require warm mode (the empty default included).
-	SolverMode string
 }
 
 // DefaultConfig returns the production defaults described on Config.
