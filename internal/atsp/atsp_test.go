@@ -201,6 +201,57 @@ func TestHeuristicsValidAndBounded(t *testing.T) {
 	}
 }
 
+// orOptReference is the plain allocating or-opt OrOpt must match move for
+// move: a fresh candidate per insertion point, adopted on improvement.
+func orOptReference(m Matrix, tour []int) ([]int, int) {
+	n := len(tour)
+	cur := append([]int(nil), tour...)
+	cost := m.TourCost(cur)
+	for improved := true; improved; {
+		improved = false
+		for segLen := 1; segLen <= 3 && segLen < n; segLen++ {
+			for i := 0; i+segLen <= n; i++ {
+				seg := append([]int(nil), cur[i:i+segLen]...)
+				rest := append(append([]int(nil), cur[:i]...), cur[i+segLen:]...)
+				for k := 0; k <= len(rest); k++ {
+					cand := append(append(append([]int(nil), rest[:k]...), seg...), rest[k:]...)
+					if c := m.TourCost(cand); c < cost {
+						cur, cost = cand, c
+						improved = true
+					}
+				}
+			}
+		}
+	}
+	return cur, cost
+}
+
+// TestOrOptMatchesReference pins OrOpt's improvement sequence to the
+// allocating reference and checks that it leaves its input alone and
+// allocates only its four buffers.
+func TestOrOptMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(12)
+		m := randomMatrix(rng, n, 40)
+		tour := rng.Perm(n)
+		orig := append([]int(nil), tour...)
+		got, gc := OrOpt(m, tour)
+		want, wc := orOptReference(m, tour)
+		if gc != wc || !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d tour %v: OrOpt %v (%d), reference %v (%d)", n, orig, got, gc, want, wc)
+		}
+		if !reflect.DeepEqual(tour, orig) {
+			t.Fatalf("OrOpt modified its input: %v, was %v", tour, orig)
+		}
+	}
+	m := randomMatrix(rng, 10, 40)
+	tour := rng.Perm(10)
+	if allocs := testing.AllocsPerRun(20, func() { OrOpt(m, tour) }); allocs > 4 {
+		t.Errorf("OrOpt allocates %.0f objects per call, want at most 4", allocs)
+	}
+}
+
 func TestPathTiny(t *testing.T) {
 	// Path 2 -> 0 -> 1 costs 1+1 = 2; any cycle would pay the way back.
 	m := Matrix{

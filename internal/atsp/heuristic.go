@@ -99,6 +99,11 @@ func OrOpt(m Matrix, tour []int) ([]int, int) {
 	n := len(tour)
 	cur := append([]int(nil), tour...)
 	cost := m.TourCost(cur)
+	// Scratch buffers, reused across moves: an improving candidate swaps
+	// places with cur, so the search allocates nothing after this.
+	cand := make([]int, 0, n)
+	seg := make([]int, 0, 3)
+	rest := make([]int, 0, n)
 	improved := true
 	for improved {
 		improved = false
@@ -109,16 +114,15 @@ func OrOpt(m Matrix, tour []int) ([]int, int) {
 				if i+segLen > n {
 					continue
 				}
-				seg := append([]int(nil), cur[i:i+segLen]...)
-				rest := append([]int(nil), cur[:i]...)
+				seg = append(seg[:0], cur[i:i+segLen]...)
+				rest = append(rest[:0], cur[:i]...)
 				rest = append(rest, cur[i+segLen:]...)
 				for k := 0; k <= len(rest); k++ {
-					cand := make([]int, 0, n)
-					cand = append(cand, rest[:k]...)
+					cand = append(cand[:0], rest[:k]...)
 					cand = append(cand, seg...)
 					cand = append(cand, rest[k:]...)
 					if c := m.TourCost(cand); c < cost {
-						cur, cost = cand, c
+						cur, cand, cost = cand, cur, c
 						improved = true
 					}
 				}

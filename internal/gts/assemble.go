@@ -2,10 +2,12 @@ package gts
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"marchgen/fsm"
 	"marchgen/internal/budget"
+	"marchgen/internal/simd"
 	"marchgen/march"
 )
 
@@ -35,11 +37,21 @@ type state struct {
 	cost   int
 }
 
+// clone deep-copies the state with two allocations: all ops are copied
+// into one backing buffer, each element's slice capped at its own ops so
+// an append to one can never write into the next.
 func (st *state) clone() *state {
 	c := *st
 	c.elems = make([]march.Element, len(st.elems))
+	n := 0
+	for _, e := range st.elems {
+		n += len(e.Ops)
+	}
+	buf := make([]march.Op, 0, n)
 	for k, e := range st.elems {
-		c.elems[k] = march.Element{Order: e.Order, Delay: e.Delay, Ops: append([]march.Op(nil), e.Ops...)}
+		a := len(buf)
+		buf = append(buf, e.Ops...)
+		c.elems[k] = march.Element{Order: e.Order, Delay: e.Delay, Ops: buf[a:len(buf):len(buf)]}
 	}
 	return &c
 }
@@ -128,7 +140,9 @@ func (st *state) open(dir march.Order) bool {
 	if !st.end.Known() || len(st.elems) == 0 {
 		return false
 	}
-	st.elems = append(st.elems, march.Elem(dir, march.Op{Kind: march.Read, Data: st.end}))
+	// Room for the ops a template appends after the leading read.
+	ops := append(make([]march.Op, 0, 4), march.Op{Kind: march.Read, Data: st.end})
+	st.elems = append(st.elems, march.Elem(dir, ops...))
 	st.pre = st.end
 	st.leadRead = true
 	st.needRead = false
@@ -174,31 +188,27 @@ func AssembleMeter(mt *budget.Meter, patterns []fsm.Pattern, opts Options) ([]*m
 	if opts.BeamWidth <= 0 {
 		opts = DefaultOptions()
 	}
-	shapes := make([]shape, len(patterns))
-	for k, p := range patterns {
-		s, err := normalise(p)
-		if err != nil {
-			return nil, err
-		}
-		shapes[k] = s
+	shapes, err := compileShapes(patterns)
+	if err != nil {
+		return nil, err
 	}
 	beam := []*state{{pre: march.X, end: march.X}}
-	oracle := newOracle()
+	var x expander
 	for _, s := range shapes {
 		if err := mt.CheckNow(); err != nil {
 			return nil, err
 		}
-		var next []*state
+		x.out = x.out[:0]
 		for _, st := range beam {
 			if err := mt.Check(); err != nil {
 				return nil, err
 			}
-			next = append(next, expand(st, s, oracle)...)
+			x.expand(st, s)
 		}
-		if len(next) == 0 {
+		if len(x.out) == 0 {
 			return nil, fmt.Errorf("gts: no construction realises pattern %s", s.pattern)
 		}
-		beam = prune(next, opts.BeamWidth)
+		beam = prune(x.out, opts.BeamWidth)
 	}
 	var out []*march.Test
 	seen := map[string]bool{}
@@ -218,6 +228,21 @@ func AssembleMeter(mt *budget.Meter, patterns []fsm.Pattern, opts Options) ([]*m
 		return nil, fmt.Errorf("gts: assembly produced no candidates")
 	}
 	return out, nil
+}
+
+// compileShapes normalises the patterns and compiles each one's synthetic
+// machine for the coverage check.
+func compileShapes(patterns []fsm.Pattern) ([]shape, error) {
+	shapes := make([]shape, len(patterns))
+	for k, p := range patterns {
+		s, err := normalise(p)
+		if err != nil {
+			return nil, err
+		}
+		s.lut = simd.Compile(syntheticMachine(p))
+		shapes[k] = s
+	}
+	return shapes, nil
 }
 
 // prune sorts by cost (ties: fewer elements) and deduplicates.
@@ -244,29 +269,60 @@ func prune(states []*state, width int) []*state {
 	return out
 }
 
+// expander applies rewrite templates to beam states, appending the
+// successful constructions to out. One expander serves a whole assembly,
+// so its scratch buffers are allocated once.
+type expander struct {
+	st  *state
+	out []*state
+	// scratch is the state the current template mutates; elems and ops
+	// are its reusable buffers.
+	scratch state
+	elems   []march.Element
+	ops     []march.Op
+}
+
+// try runs one template on a fresh scratch copy of the state and keeps a
+// deep clone of the result when the template succeeds. Templates only
+// append elements and modify the open one, so the scratch shares the
+// closed elements' ops with the state and copies only the open element's.
+func (x *expander) try(template func(c *state) bool) {
+	// Reserve room for what a template adds (up to three elements and
+	// four ops), so the buffers rarely grow.
+	x.elems = append(slices.Grow(x.elems[:0], len(x.st.elems)+3), x.st.elems...)
+	if n := len(x.elems); n > 0 {
+		last := x.elems[n-1].Ops
+		x.ops = append(slices.Grow(x.ops[:0], len(last)+4), last...)
+		x.elems[n-1].Ops = x.ops
+	}
+	x.scratch = *x.st
+	x.scratch.elems = x.elems
+	if template(&x.scratch) {
+		x.out = append(x.out, x.scratch.clone())
+	}
+}
+
+// pend marks the open element's excitation as awaiting a future leading
+// read. The element is locked: a later write would overwrite the pending
+// corruption before it is observed.
+func (st *state) pend() bool {
+	st.needRead, st.locked = true, true
+	return true
+}
+
 // expand applies every rewrite template of the shape to the state.
-func expand(st *state, s shape, oracle *oracle) []*state {
-	var out []*state
-	emit := func(c *state, ok bool) {
-		if ok {
-			out = append(out, c)
-		}
-	}
+func (x *expander) expand(st *state, s shape) {
+	x.st = st
 	// Minimisation: skip patterns the partial construction already covers.
-	if len(st.elems) > 0 && oracle.covered(st.closed(), s.pattern) {
-		emit(st.clone(), true)
-	} else if len(st.elems) > 0 && st.end.Known() {
+	if coveredState(st, st.needRead, s.lut) {
+		x.out = append(x.out, st.clone())
+	} else if st.end.Known() && !st.needRead && coveredState(st, true, s.lut) {
 		// Virtual skip: the pattern's excitation is already present and
-		// only awaits a future leading read. Locking the element keeps
-		// later appends from overwriting the corruption before it is
-		// observed.
-		virt := st.clone()
-		virt.needRead = true
-		if oracle.covered(virt.closed(), s.pattern) {
-			virt.locked = true
-			emit(virt, true)
-		}
+		// only awaits a future leading read. (With a read already pending,
+		// this is the check that just failed.)
+		x.try((*state).pend)
 	}
+	rd := march.Op{Kind: march.Read, Data: s.b}
 	switch s.kind {
 	case shapeSingle:
 		if s.hasExcite && s.cond.Known() {
@@ -281,73 +337,67 @@ func expand(st *state, s shape, oracle *oracle) []*state {
 				dirWithin, dirAcross = march.Down, march.Up
 			}
 			// Case (i), new element with immediate trailing read.
-			c := st.clone()
-			emit(c, c.drive(s.cond) && c.open(dirWithin) && c.drive(s.a) &&
-				c.appendOp(s.excite) && c.appendOp(march.Op{Kind: march.Read, Data: s.b}))
+			x.try(func(c *state) bool {
+				return c.drive(s.cond) && c.open(dirWithin) && c.drive(s.a) &&
+					c.appendOp(s.excite) && c.appendOp(rd)
+			})
 			// Case (i), new element, observation deferred (the element is
 			// locked so the corruption survives to the next leading read —
 			// which walks the corrupted cell before re-writing it).
-			c = st.clone()
-			emit(c, c.drive(s.cond) && c.open(dirWithin) && c.drive(s.a) &&
-				c.appendOp(s.excite) &&
-				func() bool { c.needRead, c.locked = true, true; return true }())
+			x.try(func(c *state) bool {
+				return c.drive(s.cond) && c.open(dirWithin) && c.drive(s.a) &&
+					c.appendOp(s.excite) && c.pend()
+			})
 			// Case (i), extension of a compatible element.
-			c = st.clone()
-			emit(c, !c.locked && c.leadRead && c.pre == s.cond && (s.a == march.X || c.end == s.a) &&
-				c.forceDir(dirWithin) && c.appendOp(s.excite) &&
-				c.appendOp(march.Op{Kind: march.Read, Data: s.b}))
+			x.try(func(c *state) bool {
+				return !c.locked && c.leadRead && c.pre == s.cond && (s.a == march.X || c.end == s.a) &&
+					c.forceDir(dirWithin) && c.appendOp(s.excite) && c.appendOp(rd)
+			})
 			// Case (ii): the condition cell is walked first and holds the
 			// element's closing value; needs a write excitation equal to
 			// cond and a later leading read.
 			if s.excite.IsWrite() && s.excite.Data == s.cond {
-				c = st.clone()
-				emit(c, !c.locked && c.forceDir(dirAcross) && c.drive(s.a) && c.appendOp(s.excite) &&
-					func() bool { c.needRead, c.locked = true, true; return true }())
-				c = st.clone()
-				emit(c, c.end.Known() && c.open(dirAcross) && c.drive(s.a) && c.appendOp(s.excite) &&
-					func() bool { c.needRead, c.locked = true, true; return true }())
+				x.try(func(c *state) bool {
+					return !c.locked && c.forceDir(dirAcross) && c.drive(s.a) && c.appendOp(s.excite) && c.pend()
+				})
+				x.try(func(c *state) bool {
+					return c.end.Known() && c.open(dirAcross) && c.drive(s.a) && c.appendOp(s.excite) && c.pend()
+				})
 			}
 			break
 		}
 		if s.hasExcite {
 			// Same-element excitation, observation deferred to the next
-			// leading read. The element is locked: a later write would
-			// overwrite the pending corruption before it is observed.
-			c := st.clone()
-			emit(c, c.drive(s.a) && c.appendOp(s.excite) &&
-				func() bool { c.needRead, c.locked = true, true; return true }())
+			// leading read.
+			x.try(func(c *state) bool {
+				return c.drive(s.a) && c.appendOp(s.excite) && c.pend()
+			})
 			// Same-element excitation with an immediate trailing read.
-			c = st.clone()
-			emit(c, c.drive(s.a) && c.appendOp(s.excite) &&
-				c.appendOp(march.Op{Kind: march.Read, Data: s.b}))
+			x.try(func(c *state) bool {
+				return c.drive(s.a) && c.appendOp(s.excite) && c.appendOp(rd)
+			})
 			// Non-transition write excitations (write destructive faults)
 			// need the pre-value established by a genuine transition, or
 			// the establishing write is itself the excitation and the
 			// "exciting" one repairs the corruption.
 			if s.excite.IsWrite() && s.excite.Data == s.a {
-				c = st.clone()
-				emit(c, c.appendOp(march.Op{Kind: march.Write, Data: s.a.Not()}) &&
-					c.appendOp(march.Op{Kind: march.Write, Data: s.a}) &&
-					c.appendOp(s.excite) &&
-					c.appendOp(march.Op{Kind: march.Read, Data: s.b}))
-				c = st.clone()
-				emit(c, c.appendOp(march.Op{Kind: march.Write, Data: s.a.Not()}) &&
-					c.appendOp(march.Op{Kind: march.Write, Data: s.a}) &&
-					c.appendOp(s.excite) &&
-					func() bool { c.needRead, c.locked = true, true; return true }())
+				establish := func(c *state) bool {
+					return c.appendOp(march.Op{Kind: march.Write, Data: s.a.Not()}) &&
+						c.appendOp(march.Op{Kind: march.Write, Data: s.a}) &&
+						c.appendOp(s.excite)
+				}
+				x.try(func(c *state) bool { return establish(c) && c.appendOp(rd) })
+				x.try(func(c *state) bool { return establish(c) && c.pend() })
 			}
 			// Fresh element (its leading read observes prior pending
 			// excitations first).
-			c = st.clone()
-			emit(c, c.end.Known() && c.open(march.Any) && c.drive(s.a) &&
-				c.appendOp(s.excite) &&
-				func() bool { c.needRead, c.locked = true, true; return true }())
+			x.try(func(c *state) bool {
+				return c.end.Known() && c.open(march.Any) && c.drive(s.a) && c.appendOp(s.excite) && c.pend()
+			})
 		} else {
 			// Observation-only: a read of the cell while it holds a.
-			c := st.clone()
-			emit(c, c.drive(s.a) && c.appendOp(march.Op{Kind: march.Read, Data: s.b}))
-			c = st.clone()
-			emit(c, c.drive(s.a) && c.end == s.b && c.open(march.Any))
+			x.try(func(c *state) bool { return c.drive(s.a) && c.appendOp(rd) })
+			x.try(func(c *state) bool { return c.drive(s.a) && c.end == s.b && c.open(march.Any) })
 		}
 	case shapePair:
 		e := s.excite.Data
@@ -358,12 +408,14 @@ func expand(st *state, s shape, oracle *oracle) []*state {
 		// Case (i), new element: ⇑/⇓(r_b, [w_a,] w_e) — the victim is
 		// processed after the aggressor and still holds the element's
 		// pre-value b; the element's own leading read observes.
-		c := st.clone()
-		emit(c, c.drive(s.b) && c.open(dirWithin) && c.drive(s.a) && c.appendOp(s.excite))
+		x.try(func(c *state) bool {
+			return c.drive(s.b) && c.open(dirWithin) && c.drive(s.a) && c.appendOp(s.excite)
+		})
 		// Case (i), extension of the current element.
-		c = st.clone()
-		emit(c, !c.locked && c.leadRead && c.pre == s.b && (s.a == march.X || c.end == s.a) &&
-			c.forceDir(dirWithin) && c.appendOp(s.excite))
+		x.try(func(c *state) bool {
+			return !c.locked && c.leadRead && c.pre == s.b && (s.a == march.X || c.end == s.a) &&
+				c.forceDir(dirWithin) && c.appendOp(s.excite)
+		})
 		// Case (ii): the victim is processed before the aggressor and
 		// already holds the element's closing value; requires a write
 		// excitation with b == e and a later leading read. (Read-coupling
@@ -371,16 +423,14 @@ func expand(st *state, s shape, oracle *oracle) []*state {
 		// chain value unchanged, so the element close value equals the
 		// chain, not a victim-specific value.)
 		if s.excite.IsWrite() && s.b == e {
-			c = st.clone()
-			emit(c, !c.locked && c.forceDir(dirAcross) && c.drive(s.a) && c.appendOp(s.excite) &&
-				func() bool { c.needRead, c.locked = true, true; return true }())
-			c = st.clone()
-			emit(c, c.end.Known() && c.open(dirAcross) && c.drive(s.a) && c.appendOp(s.excite) &&
-				func() bool { c.needRead, c.locked = true, true; return true }())
+			x.try(func(c *state) bool {
+				return !c.locked && c.forceDir(dirAcross) && c.drive(s.a) && c.appendOp(s.excite) && c.pend()
+			})
+			x.try(func(c *state) bool {
+				return c.end.Known() && c.open(dirAcross) && c.drive(s.a) && c.appendOp(s.excite) && c.pend()
+			})
 		}
 	case shapeRetention:
-		c := st.clone()
-		emit(c, c.drive(s.a) && c.delay() && c.open(march.Any))
+		x.try(func(c *state) bool { return c.drive(s.a) && c.delay() && c.open(march.Any) })
 	}
-	return out
 }

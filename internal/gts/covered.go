@@ -2,7 +2,7 @@ package gts
 
 import (
 	"marchgen/fsm"
-	"marchgen/internal/sim"
+	"marchgen/internal/simd"
 	"marchgen/march"
 )
 
@@ -23,53 +23,101 @@ func syntheticMachine(p fsm.Pattern) fsm.Machine {
 		fsm.TransitionDev(p.Init, p.Excite[0], next))
 }
 
-// oracle memoises coverage checks: identical (partial test, pattern)
-// queries recur heavily across beam branches.
-type oracle struct {
-	machines map[string]fsm.Machine
-	verdict  map[string]bool
+// Input indices of the compiled tables (see simd.InputIndex).
+const (
+	inWrite = 0 // w<d> on cell c is inWrite + 2c + d
+	inRead  = 4 // r on cell c is inRead + c
+	inWait  = 6
+)
+
+// walk is one ⇕ resolution's simulation of the four initial memory
+// contents against the fault-free machine, advanced in place.
+type walk struct {
+	lut      *simd.Compiled
+	good     uint8    // fault-free state
+	faulty   [4]uint8 // faulty state per concrete initial content
+	detected uint8    // bit v: initial content v already exposed
 }
 
-func newOracle() *oracle {
-	return &oracle{machines: map[string]fsm.Machine{}, verdict: map[string]bool{}}
+func newWalk(lut *simd.Compiled) walk {
+	w := walk{lut: lut, good: uint8(simd.StateIndex(fsm.Unknown))}
+	for v, s := range fsm.ConcreteStates() {
+		w.faulty[v] = uint8(simd.StateIndex(s))
+	}
+	return w
 }
 
-// covered reports whether the (possibly partial) March test already
-// realises the pattern, checking the all-ascending and all-descending
-// resolutions of its ⇕ elements. The full resolution enumeration is left
-// to the caller's final validation; this fast check drives the
-// minimisation phase (no operation is emitted for an already-realised
-// pattern).
-func (o *oracle) covered(t *march.Test, p fsm.Pattern) bool {
-	if t == nil || len(t.Elements) == 0 {
-		return false
-	}
-	pKey := p.String()
-	key := t.String() + "#" + pKey
-	if v, ok := o.verdict[key]; ok {
-		return v
-	}
-	m, ok := o.machines[pKey]
-	if !ok {
-		m = syntheticMachine(p)
-		o.machines[pKey] = m
-	}
-	v := coveredBy(t, m)
-	o.verdict[key] = v
-	return v
-}
-
-func coveredBy(t *march.Test, m fsm.Machine) bool {
-	for _, dir := range []march.Order{march.Up, march.Down} {
-		res := make([]march.Order, len(t.Elements))
-		for k, e := range t.Elements {
-			res[k] = e.Order
-			if e.Order == march.Any {
-				res[k] = dir
+// step applies one input. A read exposes the initial contents whose
+// faulty output is concrete and differs from a known fault-free output;
+// reads with an unknown expected value are ignored, as in fsm.Detects.
+func (w *walk) step(in uint8) {
+	good := simd.Good()
+	if in == inRead || in == inRead+1 {
+		if e := good.Out[w.good][in]; e.Known() {
+			for v := range w.faulty {
+				if o := w.lut.Out[w.faulty[v]][in]; o.Known() && o != e {
+					w.detected |= 1 << v
+				}
 			}
 		}
-		trace, _ := sim.Trace(t, res)
-		if !fsm.Detects(m, trace) {
+	}
+	w.good = good.Next[w.good][in]
+	for v := range w.faulty {
+		w.faulty[v] = w.lut.Next[w.faulty[v]][in]
+	}
+}
+
+// element applies an element's ops to both cells in the resolved
+// addressing order.
+func (w *walk) element(ops []march.Op, dir march.Order) {
+	first, second := uint8(0), uint8(1)
+	if dir == march.Down {
+		first, second = 1, 0
+	}
+	for _, c := range [2]uint8{first, second} {
+		for _, op := range ops {
+			if op.IsRead() {
+				w.step(inRead + c)
+			} else {
+				w.step(inWrite + 2*c + uint8(op.Data))
+			}
+		}
+	}
+}
+
+// coveredState reports whether the partial construction already realises
+// the pattern compiled into lut, i.e. whether the test st.closed() would
+// produce (with the pending-read flag needRead) detects the pattern's
+// synthetic machine under both the all-ascending and the all-descending
+// resolution of its ⇕ elements. The full resolution enumeration is left
+// to the caller's final validation; this fast check drives the
+// minimisation phase (no operation is emitted for an already-realised
+// pattern). It walks st in place and allocates nothing.
+func coveredState(st *state, needRead bool, lut *simd.Compiled) bool {
+	if len(st.elems) == 0 {
+		return false
+	}
+	for _, dir := range [2]march.Order{march.Up, march.Down} {
+		w := newWalk(lut)
+		for _, e := range st.elems {
+			if e.Delay {
+				w.step(inWait)
+				continue
+			}
+			order := e.Order
+			if order == march.Any {
+				order = dir
+			}
+			w.element(e.Ops, order)
+			if w.detected == 0xF {
+				break
+			}
+		}
+		if needRead && st.end.Known() {
+			// closed()'s trailing ⇕(r end) element.
+			w.element([]march.Op{{Kind: march.Read, Data: st.end}}, dir)
+		}
+		if w.detected != 0xF {
 			return false
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"marchgen/fault"
 	"marchgen/fsm"
 	"marchgen/internal/sim"
+	"marchgen/internal/simd"
 	"marchgen/march"
 )
 
@@ -120,26 +121,39 @@ func TestNormaliseShapes(t *testing.T) {
 	}
 }
 
-func TestCoveredOracle(t *testing.T) {
+// stateOf wraps a finished March test as a construction with no pending
+// read.
+func stateOf(t *march.Test) *state {
+	return &state{elems: t.Elements, pre: march.X, end: march.X}
+}
+
+func TestCoveredState(t *testing.T) {
+	lut := func(p fsm.Pattern) *simd.Compiled { return simd.Compile(syntheticMachine(p)) }
 	// MATS++ covers the up-transition fault pattern...
-	o := newOracle()
 	matspp, _ := march.Known("MATS++")
 	tfUp := fsm.NewPattern(fsm.S(march.Zero, march.X), []fsm.Input{fsm.Wr(fsm.CellI, march.One)}, fsm.Rd(fsm.CellI))
-	if !o.covered(matspp.Test, tfUp) {
+	if !coveredState(stateOf(matspp.Test), false, lut(tfUp)) {
 		t.Error("MATS++ must cover the TF<u> pattern")
-	}
-	// The verdict is memoised.
-	if !o.covered(matspp.Test, tfUp) {
-		t.Error("memoised verdict changed")
 	}
 	// ...and MATS+ does not cover the down-transition one.
 	matsp, _ := march.Known("MATS+")
 	tfDown := fsm.NewPattern(fsm.S(march.One, march.X), []fsm.Input{fsm.Wr(fsm.CellI, march.Zero)}, fsm.Rd(fsm.CellI))
-	if o.covered(matsp.Test, tfDown) {
+	if coveredState(stateOf(matsp.Test), false, lut(tfDown)) {
 		t.Error("MATS+ must not cover the TF<d> pattern")
 	}
-	if o.covered(nil, tfDown) || o.covered(&march.Test{}, tfDown) {
-		t.Error("empty tests cover nothing")
+	// A pending read observes MATS+'s closing w0 transition: the trailing
+	// ⇕(r0) that closed() would add realises TF<d>.
+	pending := stateOf(matsp.Test)
+	pending.end = march.Zero
+	if !coveredState(pending, true, lut(tfDown)) {
+		t.Error("MATS+ with a pending r0 must cover the TF<d> pattern")
+	}
+	if coveredState(&state{pre: march.X, end: march.X}, true, lut(tfDown)) {
+		t.Error("empty constructions cover nothing")
+	}
+	down := lut(tfDown)
+	if allocs := testing.AllocsPerRun(10, func() { coveredState(pending, true, down) }); allocs > 0 {
+		t.Errorf("coveredState allocates %.0f objects per call, want none", allocs)
 	}
 }
 

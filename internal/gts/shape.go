@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"marchgen/fsm"
+	"marchgen/internal/simd"
 	"marchgen/march"
 )
 
@@ -65,6 +66,9 @@ type shape struct {
 	condLow bool
 	// pattern is the original test pattern.
 	pattern fsm.Pattern
+	// lut is the pattern's synthetic machine compiled into dense tables:
+	// the coverage check of the minimisation phase runs on it.
+	lut *simd.Compiled
 }
 
 // normalise classifies a pattern, rejecting shapes the rewrite templates
