@@ -11,9 +11,8 @@
 //
 // Endpoints: POST /v1/generate, /v1/verify, /v1/simulate; GET /healthz,
 // /readyz, /metrics. Concurrent identical generate requests coalesce onto
-// one engine run; overlapping queued requests micro-batch onto shared
-// permits; past the admission window requests are shed with 503 and a
-// Retry-After hint. See docs/api.md for the wire schemas and the error
+// one engine run; past the admission window requests are shed with 503
+// and a Retry-After hint. See docs/api.md for the wire schemas and the error
 // table.
 //
 // -store DIR additionally enables the durable job API (POST /v1/jobs,
@@ -71,7 +70,6 @@ func run() int {
 	maxTimeout := flag.Duration("max-timeout", 0, "cap on client-requested timeouts (0: 2m)")
 	budgetSpec := flag.String("budget", "", "default soft budget for generate requests, e.g. nodes=100000,soft=2s")
 	workers := flag.Int("workers", 0, "default engine worker-pool size (0: GOMAXPROCS)")
-	batchWindow := flag.Duration("batch-window", 0, "micro-batch gathering window (0: default 500µs; negative: disable batching)")
 	storeDir := flag.String("store", "", "durable job store directory (enables the /v1/jobs API; empty: jobs disabled)")
 	peers := flag.String("peers", "", "comma-separated replica addresses forming a replica set with this server (must include -addr)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
@@ -126,7 +124,6 @@ func run() int {
 		MaxTimeout:     *maxTimeout,
 		DefaultBudget:  *budgetSpec,
 		Workers:        w,
-		BatchWindow:    *batchWindow,
 		Store:          st,
 		Obs:            orun,
 		Self:           *addr,

@@ -62,11 +62,24 @@ type Run struct {
 	// checkpoint triggers without a sink round-trip through bytes.
 	obsMu     sync.RWMutex
 	observers []func(Event)
+
+	// noEvents drops finished spans after the sink and the observers
+	// have seen them, instead of keeping them for Events (NewMetricsRun).
+	noEvents bool
 }
 
 // NewRun starts an observed run.
 func NewRun() *Run {
 	return &Run{t0: time.Now()}
+}
+
+// NewMetricsRun starts an observed run that keeps no finished spans:
+// each one still reaches the streaming sink (StreamTo) and the Notify
+// observers, but Events stays empty and "obs.spans" stays 0. It suits
+// long-lived processes that read only the metrics, where a NewRun
+// would hold up to 65,536 spans nobody asks for.
+func NewMetricsRun() *Run {
+	return &Run{t0: time.Now(), noEvents: true}
 }
 
 type ctxKey struct{}

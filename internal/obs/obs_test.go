@@ -145,6 +145,44 @@ func TestRecorderCap(t *testing.T) {
 	}
 }
 
+// lineCounter counts the JSONL lines written to it.
+type lineCounter struct{ lines int }
+
+func (w *lineCounter) Write(p []byte) (int, error) {
+	w.lines += bytes.Count(p, []byte("\n"))
+	return len(p), nil
+}
+
+// TestMetricsRunKeepsNoSpans runs past the recorder cap on a metrics
+// run: every span still reaches the streaming sink and the observers,
+// but none is kept, so none is dropped either.
+func TestMetricsRunKeepsNoSpans(t *testing.T) {
+	r := NewMetricsRun()
+	var sink lineCounter
+	r.StreamTo(&sink)
+	var seen int
+	r.Notify(func(Event) { seen++ })
+	const n = maxSpans + 100
+	for i := 0; i < n; i++ {
+		r.Start("s").End()
+	}
+	r.Counter("c").Inc()
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if sink.lines != n || seen != n {
+		t.Fatalf("sink saw %d spans, observers %d, want %d each", sink.lines, seen, n)
+	}
+	if evs := r.Events(); len(evs) != 0 {
+		t.Fatalf("metrics run kept %d events, want none", len(evs))
+	}
+	snap := r.Snapshot()
+	if snap["obs.spans"] != 0 || snap["obs.spans_dropped"] != 0 || snap["c"] != 1 {
+		t.Fatalf("obs.spans = %d, obs.spans_dropped = %d, c = %d; want 0, 0, 1",
+			snap["obs.spans"], snap["obs.spans_dropped"], snap["c"])
+	}
+}
+
 func TestStagesPartition(t *testing.T) {
 	r := NewRun()
 	root := r.Start("generate")

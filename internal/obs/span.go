@@ -141,6 +141,11 @@ func (s *Span) End() {
 }
 
 func (r *Run) record(ev Event) {
+	if r.noEvents {
+		r.sink.write(ev)
+		r.notify(ev)
+		return
+	}
 	if r.rec.count.Load() >= maxSpans {
 		r.rec.dropped.Add(1)
 		return

@@ -85,9 +85,6 @@ func resetClusterGlobals(t *testing.T) {
 // startReplica runs a Server on a pre-allocated listener.
 func startReplica(t *testing.T, cfg Config, ln net.Listener) *Server {
 	t.Helper()
-	if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = -1
-	}
 	s := New(cfg)
 	hs := &http.Server{Handler: s.Handler()}
 	go func() { _ = hs.Serve(ln) }()

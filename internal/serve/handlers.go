@@ -24,7 +24,7 @@ func mapCtxErr(err error) error {
 }
 
 // handleGenerate serves POST /v1/generate: admission → canonical key →
-// coalesce → micro-batch → engine → typed-status response.
+// coalesce → engine permit → engine → typed-status response.
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	id := s.requestID(r)
 	sp := s.run.Start("serve/generate").SetStr("id", id)
@@ -103,21 +103,21 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return tctx, func() { tcancel(); cancel() }
 	})
 	if !coalesced {
-		modelNames := make([]string, len(models))
-		for i, m := range models {
-			modelNames[i] = m.Name
-		}
-		s.batcher.submit(&batchItem{
-			models: modelNames,
-			exec: func() {
-				if s.testLeaderGate != nil {
-					<-s.testLeaderGate
-				}
-				s.group.runs.Inc()
-				res, err := s.executeGenerate(c.runCtx, &req)
-				s.group.complete(c, res, err)
-			},
-		})
+		// The run gets its own goroutine so followers are still served
+		// after the leader's client goes away.
+		go func() {
+			if err := s.acquire(c.runCtx); err != nil {
+				s.group.complete(c, nil, mapCtxErr(err))
+				return
+			}
+			defer s.release()
+			if s.testLeaderGate != nil {
+				<-s.testLeaderGate
+			}
+			s.group.runs.Inc()
+			res, err := s.executeGenerate(c.runCtx, &req)
+			s.group.complete(c, res, err)
+		}()
 	}
 	sp.SetInt("coalesced", boolInt(coalesced))
 

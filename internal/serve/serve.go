@@ -11,11 +11,7 @@
 //   - admission control: a bounded in-flight window plus a bounded queue;
 //     past both, requests are shed with 503 and a Retry-After hint, and a
 //     request whose deadline expires while queued is shed without ever
-//     reaching the engine (admission in server.go, permits in batch.go);
-//   - micro-batching: queued generate requests whose fault-model sets
-//     overlap are grouped and executed back-to-back on one engine permit,
-//     so the memo cache's coverage matrices, tour fragments and verdicts
-//     stay warm across the group (batch.go);
+//     reaching the engine (admit and acquire in serve.go);
 //   - typed-error mapping: the error taxonomy of the root package
 //     (ErrCanceled, ErrDeadlineExceeded, ErrBudgetExhausted, ErrUsage,
 //     ErrUnsupportedFault, ErrInternal) maps onto HTTP statuses exactly as
@@ -61,8 +57,8 @@ import (
 // Config tunes a Server. The zero value of any field selects the
 // corresponding default; see DefaultConfig.
 type Config struct {
-	// MaxInFlight bounds concurrent engine runs (generate, verify and
-	// simulate all consume permits). Default: GOMAXPROCS.
+	// MaxInFlight bounds concurrent engine runs (generate, verify,
+	// simulate and jobs all consume permits). Default: GOMAXPROCS.
 	MaxInFlight int
 	// QueueDepth bounds requests admitted beyond the in-flight window;
 	// past MaxInFlight+QueueDepth new requests are shed with 503.
@@ -81,17 +77,18 @@ type Config struct {
 	// set its own (0: GOMAXPROCS). Results are byte-identical at any
 	// worker count, so this is purely a throughput/latency knob.
 	Workers int
-	// BatchWindow is how long a generate request lingers in the
-	// micro-batcher waiting for overlapping requests to arrive before it
-	// is dispatched. 0 disables batching (every request dispatches
-	// immediately on its own permit). Default (via DefaultConfig): 500µs.
+	// BatchWindow is ignored: generate leaders take their engine permit
+	// directly. It is kept so existing callers still compile.
+	//
+	// Deprecated: has no effect.
 	BatchWindow time.Duration
 	// RetryAfter is the hint returned in the Retry-After header of shed
 	// responses. Default: 1s.
 	RetryAfter time.Duration
 	// Obs, when non-nil, is the server-lifetime observability run that
-	// collects request spans and aggregated engine metrics. New creates
-	// one when nil; cmd/marchserve passes the run bound to its -trace /
+	// collects request spans and aggregated engine metrics. When nil, New
+	// creates an obs.NewMetricsRun, which keeps metrics but no finished
+	// spans; cmd/marchserve passes the run bound to its -trace /
 	// -metrics flags so a drained server leaves a complete trace behind.
 	Obs *obs.Run
 	// Store, when non-nil, enables the async job API (/v1/jobs): job
@@ -121,7 +118,6 @@ func DefaultConfig() Config {
 		QueueDepth:     64,
 		DefaultTimeout: 30 * time.Second,
 		MaxTimeout:     2 * time.Minute,
-		BatchWindow:    500 * time.Microsecond,
 		RetryAfter:     time.Second,
 	}
 }
@@ -138,7 +134,8 @@ type Server struct {
 	// admission bound is MaxInFlight+QueueDepth.
 	active atomic.Int64
 	// sem holds the engine permits: at most MaxInFlight engine runs
-	// execute concurrently, whatever the admission window holds.
+	// execute concurrently, whatever the admission window holds. Every
+	// engine run takes its permit through acquire.
 	sem chan struct{}
 	// shardSem holds the permits for peer-submitted sweep shards — a
 	// pool deliberately disjoint from sem. A coordinator holds its own
@@ -154,8 +151,7 @@ type Server struct {
 	draining atomic.Bool
 	reqSeq   atomic.Uint64
 
-	group   *group
-	batcher *batcher
+	group *group
 
 	// store/jobs are the durable job subsystem, nil without Config.Store.
 	store     *store.Store
@@ -177,9 +173,6 @@ type Server struct {
 }
 
 // New builds a Server from cfg, filling unset fields from DefaultConfig.
-// Note the zero-value caveat on Config.BatchWindow: a caller who wants
-// batching disabled sets BatchWindow negative, since 0 selects the
-// default window.
 func New(cfg Config) *Server {
 	def := DefaultConfig()
 	if cfg.MaxInFlight <= 0 {
@@ -194,14 +187,11 @@ func New(cfg Config) *Server {
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = def.MaxTimeout
 	}
-	if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = def.BatchWindow
-	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = def.RetryAfter
 	}
 	if cfg.Obs == nil {
-		cfg.Obs = obs.NewRun()
+		cfg.Obs = obs.NewMetricsRun()
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -211,7 +201,6 @@ func New(cfg Config) *Server {
 		shardSem: make(chan struct{}, cfg.MaxInFlight),
 	}
 	s.group = newGroup(s.run)
-	s.batcher = newBatcher(s, cfg.BatchWindow)
 	if cfg.Store != nil {
 		s.store = cfg.Store
 		// The durable memo tier makes the engine's checkpointed artifacts
@@ -245,10 +234,6 @@ func New(cfg Config) *Server {
 // RecoveredJobs reports how many unfinished jobs New re-adopted from the
 // durable store (cmd/marchserve logs it at startup).
 func (s *Server) RecoveredJobs() int { return s.recovered }
-
-// Run returns the server-lifetime observability run: request spans,
-// aggregated engine metrics, admission counters.
-func (s *Server) Run() *obs.Run { return s.run }
 
 // Handler returns the service's HTTP routes. Every API endpoint is
 // wrapped in the latency/in-flight instrumentation (instrument); the

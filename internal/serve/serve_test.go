@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"marchgen"
+	"marchgen/internal/obs"
 	"marchgen/march"
 )
 
@@ -22,8 +23,7 @@ import (
 // (~100ms+) that concurrent requests reliably overlap in flight.
 const fiveFaults = "SAF,TF,ADF,CFin,CFid"
 
-// newTestServer builds a Server (batching disabled unless the test
-// enables it) behind an httptest listener.
+// newTestServer builds a Server behind an httptest listener.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	s, ts, _ := newGatedServer(t, cfg, false)
 	return s, ts
@@ -34,9 +34,6 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // gated is true.
 func newGatedServer(t *testing.T, cfg Config, gated bool) (*Server, *httptest.Server, chan struct{}) {
 	t.Helper()
-	if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = -1 // deterministic: no batching unless asked
-	}
 	s := New(cfg)
 	var gate chan struct{}
 	if gated {
@@ -284,43 +281,6 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestBatchOverlap enables a wide batch window and checks that two
-// leaders with overlapping fault models are grouped onto one permit.
-func TestBatchOverlap(t *testing.T) {
-	s, ts := newTestServer(t, Config{BatchWindow: 150 * time.Millisecond})
-	var wg sync.WaitGroup
-	for _, f := range []string{"SAF,TF", "TF,ADF"} { // overlap: TF
-		wg.Add(1)
-		go func(f string) {
-			defer wg.Done()
-			resp, raw := post(t, ts.URL+"/v1/generate", GenerateRequest{Faults: f})
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("%s: status %d: %s", f, resp.StatusCode, raw)
-			}
-		}(f)
-	}
-	wg.Wait()
-	snap := s.run.Snapshot()
-	if snap["serve.batch.grouped"] != 2 {
-		t.Fatalf("batch.grouped = %d, want 2 (snapshot %v)", snap["serve.batch.grouped"], snap)
-	}
-	if snap["serve.batch.size.max"] != 2 {
-		t.Fatalf("batch.size.max = %d, want 2", snap["serve.batch.size.max"])
-	}
-}
-
-func TestGroupByOverlap(t *testing.T) {
-	mk := func(models ...string) *batchItem { return &batchItem{models: models} }
-	items := []*batchItem{mk("SAF", "TF"), mk("CFin"), mk("TF", "ADF"), mk("CFid")}
-	groups := groupByOverlap(items)
-	if len(groups) != 3 {
-		t.Fatalf("groups = %d, want 3", len(groups))
-	}
-	if len(groups[0]) != 2 || groups[0][0] != items[0] || groups[0][1] != items[2] {
-		t.Fatalf("overlap group wrong: %v", groups[0])
-	}
-}
-
 // TestDeadlineExceeded asserts the 504 mapping: a cold expensive run
 // under a 1ms hard deadline aborts with deadline_exceeded.
 func TestDeadlineExceeded(t *testing.T) {
@@ -333,6 +293,82 @@ func TestDeadlineExceeded(t *testing.T) {
 	var e ErrorResponse
 	if err := json.Unmarshal(raw, &e); err != nil || e.Code != "deadline_exceeded" {
 		t.Fatalf("body: %s", raw)
+	}
+}
+
+// TestQueuedLeaderDeadline holds the only engine permit: a generate
+// leader queued behind it must give up when its timeout_ms expires and
+// answer 504 without ever reaching the engine.
+func TestQueuedLeaderDeadline(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxInFlight: 1})
+	s.sem <- struct{}{}
+	t.Cleanup(func() { <-s.sem })
+
+	body, _ := json.Marshal(GenerateRequest{Faults: "SAF,TF", TimeoutMS: 50})
+	client := &http.Client{Timeout: 5 * time.Second}
+	start := time.Now()
+	resp, err := client.Post(ts.URL+"/v1/generate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("queued leader did not answer: %v", err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("504 took %v, want prompt", elapsed)
+	}
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", resp.StatusCode, raw)
+	}
+	var e ErrorResponse
+	if err := json.Unmarshal(raw, &e); err != nil || e.Code != "deadline_exceeded" {
+		t.Fatalf("body: %s", raw)
+	}
+	if runs := s.run.Snapshot()["serve.engine_runs"]; runs != 0 {
+		t.Fatalf("engine_runs = %d, want 0", runs)
+	}
+}
+
+// TestServerSpanRetention checks that a default server keeps no spans
+// (nothing can read them) while a server given a recording run still
+// collects its serve/generate spans.
+func TestServerSpanRetention(t *testing.T) {
+	const n = 5
+	_, ts := newTestServer(t, Config{})
+	for i := 0; i < n; i++ {
+		if resp, raw := post(t, ts.URL+"/v1/generate", GenerateRequest{Faults: "SAF"}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, raw)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]int64
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap["obs.spans"] != 0 || snap["serve.generate.ok"] != n {
+		t.Fatalf("default server: obs.spans = %d, serve.generate.ok = %d; want 0, %d",
+			snap["obs.spans"], snap["serve.generate.ok"], n)
+	}
+
+	run := obs.NewRun()
+	_, ts = newTestServer(t, Config{Obs: run})
+	post(t, ts.URL+"/v1/generate", GenerateRequest{Faults: "SAF"})
+	// The handler ends its span after writing the response.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		for _, ev := range run.Events() {
+			if ev.Name == "serve/generate" {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("recording run kept no serve/generate span (%d events)", len(run.Events()))
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
