@@ -24,9 +24,9 @@
 // -peers A,B,C (each replica started with the same list and its own
 // -addr from it) forms a replica set: requests forward to the replica
 // owning their content key on a consistent-hash ring, memo entries warm
-// on any replica are fetched from peers, and exact unbudgeted selection
-// sweeps distribute across the set. See
-// docs/operations.md for the deployment recipe.
+// on any replica are fetched from peers. Each request's selection sweep
+// runs on the one replica that serves it. See docs/operations.md for the
+// deployment recipe.
 //
 // SIGINT/SIGTERM drain gracefully: /readyz flips to 503, new requests are
 // shed, in-flight requests finish (bounded by -drain-timeout), running

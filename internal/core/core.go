@@ -69,14 +69,6 @@ type Options struct {
 	// GOMAXPROCS; negative is rejected as a usage error). Results are
 	// byte-identical at any worker count.
 	Workers int
-	// Distributor, when non-nil, is offered the §5 selection sweep for
-	// cross-process execution (see SweepDistributor in shard.go). The
-	// offer is made only where the distributed merge is provably
-	// byte-identical to the sequential sweep — exact solves, unlimited
-	// budget, untruncated selection list —
-	// and any distribution failure falls back to the sequential sweep,
-	// so the field never changes what is computed, only where.
-	Distributor SweepDistributor
 	// Cache, when non-nil, memoises coverage matrices, solved tour
 	// fragments, completeness verdicts and whole results under
 	// content-addressed keys, so repeated runs over the same fault list
@@ -280,11 +272,9 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 	if err := m.CheckNow(); err != nil {
 		return nil, err
 	}
-	truncated := false
 	if lim := opts.Budget.Selections; lim > 0 && lim < len(selections) {
 		selections = selections[:lim]
 		degrade("select")
-		truncated = true
 	}
 
 	res.Instances = instances
@@ -305,36 +295,9 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 		cache:       cache,
 		verdictHits: run.Counter("memo.verdict_hits"),
 	}
-	fresh := func() *sweep {
-		sw := newSweep(m, classes, opts, workers, cache, degrade)
-		sw.stages, sw.gen, sw.prog = stages, gen, prog
-		return sw
-	}
-	sw := fresh()
-	// A distributor may take the whole sweep off this process where the
-	// shard merge is provably byte-identical (see shard.go). The replay
-	// folds into a sweep of its own, adopted only on success, so any
-	// failure — a declined offer, an unreachable shard, no candidate —
-	// leaves the local sweep untouched and the ordinary loop runs.
-	local := selections
-	if d := opts.Distributor; d != nil && opts.Exact &&
-		opts.Budget.Unlimited() && !truncated && len(selections) > 1 {
-		stages.Enter("select")
-		dist := fresh()
-		shards, ok, derr := distributeSweep(ctx, d, models, opts, len(selections), dist, run)
-		if derr != nil {
-			return nil, derr
-		}
-		if ok {
-			sw = dist
-			run.Counter("core.sweep.distributed").Inc()
-			run.Counter("core.sweep.shards").Add(int64(shards))
-			local = nil
-		} else {
-			run.Counter("core.sweep.local_fallback").Inc()
-		}
-	}
-	for idx, sel := range local {
+	sw := newSweep(m, classes, opts, workers, cache, degrade)
+	sw.stages, sw.gen, sw.prog = stages, gen, prog
+	for idx, sel := range selections {
 		// Each select span carries the sweep fraction in parts per
 		// million: successive spans of one run are monotone, an invariant
 		// tracecheck validates on recorded traces.
@@ -347,7 +310,7 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 			degrade("select")
 			break
 		}
-		if _, err := sw.produce(sel, sw.fold); errors.Is(err, errSweepStop) {
+		if err := sw.produce(sel); errors.Is(err, errSweepStop) {
 			break
 		} else if err != nil {
 			return nil, err
@@ -396,8 +359,8 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 	}
 	res.Test = best
 	res.Complexity = best.Complexity()
-	res.Nodes = sw.bestNodes
-	res.PathCost = sw.bestCost
+	res.Nodes = sw.bestSel.nodes
+	res.PathCost = sw.bestSel.cost
 	res.Coverage = cov
 	if cache != nil && !res.Degraded {
 		cache.Put(resKey, &cachedResult{

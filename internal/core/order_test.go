@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"marchgen/fault"
+	"marchgen/fsm"
 	"marchgen/internal/atsp"
+	"marchgen/internal/gts"
 	"marchgen/internal/tpg"
 )
 
@@ -56,6 +59,94 @@ func TestWarmChainMatchesColdSolve(t *testing.T) {
 				solved++
 			}
 			t.Logf("%s [workers=%d]: %d selections compared", list, workers, solved)
+		}
+	}
+}
+
+// enumerateBaseline replays the §5 sweep as an enumerate-only solver
+// would: every deduplicated selection is ordered by a cold
+// atsp.OptimalPaths solve (no warm chain, no priming), each distinct
+// ordering is assembled and folded by the sweep's own fold, and the
+// winner is relaxed as GenerateCtx finalises it. It returns the test
+// and the minimum selection cost.
+func enumerateBaseline(t *testing.T, list string) (string, int) {
+	t.Helper()
+	models, err := fault.ParseList(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	instances := fault.Instances(models)
+	classes := tpg.Classes(instances)
+	sw := newSweep(nil, classes, opts, 1, nil, func(stage string) {
+		t.Fatalf("%s: unbudgeted baseline degraded at %s", list, stage)
+	})
+	sw.gen = &genContext{
+		ctx:       context.Background(),
+		instances: instances,
+		faultKey:  fault.Key(instances),
+		verdict:   map[string]bool{},
+		workers:   1,
+	}
+	minSel := -1
+	for _, sel := range tpg.Selections(classes, opts.SelectionLimit) {
+		nodes := tpg.Reduce(classes, sel)
+		if !sw.firstSeen(nodeSignature(nodes)) {
+			continue
+		}
+		g, starts, total := tpgInstance(nodes)
+		orders := [][]fsm.Pattern{{nodes[0].Pattern}}
+		cost := starts[0] + total
+		if len(nodes) > 1 {
+			paths, c, err := atsp.OptimalPaths(atsp.Matrix(g.Weight), starts, 8)
+			if err != nil {
+				t.Fatalf("%s: cold solve: %v", list, err)
+			}
+			orders, cost = orderings(nodes, paths), c+total
+		}
+		if minSel < 0 || cost < minSel {
+			minSel = cost
+		}
+		seenOrder := map[string]bool{}
+		for _, ordered := range orders {
+			if osig := orderSignature(ordered); seenOrder[osig] {
+				continue
+			} else {
+				seenOrder[osig] = true
+			}
+			cands, err := gts.AssembleMeter(nil, ordered, opts.Beam)
+			if err != nil {
+				continue
+			}
+			if err := sw.fold(solvedSel{nodes: len(nodes), cost: cost}, cands); err != nil {
+				t.Fatalf("%s: fold: %v", list, err)
+			}
+		}
+	}
+	if sw.best == nil {
+		t.Fatalf("%s: baseline found no valid test", list)
+	}
+	best := sw.gen.relaxOrders(sw.best)
+	if sw.gen.err != nil {
+		t.Fatal(sw.gen.err)
+	}
+	return best.String(), minSel
+}
+
+// TestSweepMatchesEnumerate checks the whole warm sweep end to end
+// against an enumerate-only baseline (a cold optimal-path solve per
+// selection): GenerateCtx must return the same test and the same
+// MinSelectionCost, so the warm chain and its priming never change what
+// callers observe.
+func TestSweepMatchesEnumerate(t *testing.T) {
+	for _, list := range []string{"SAF,TF,ADF", "SAF,TF,ADF,CFin", "CFin"} {
+		enumTest, enumMin := enumerateBaseline(t, list)
+		res := generate(t, list, DefaultOptions())
+		if res.Test.String() != enumTest {
+			t.Fatalf("%s: warm sweep %q != enumerate %q", list, res.Test, enumTest)
+		}
+		if res.MinSelectionCost != enumMin {
+			t.Fatalf("%s: min selection cost %d != %d", list, res.MinSelectionCost, enumMin)
 		}
 	}
 }

@@ -16,19 +16,15 @@ import (
 // sweep stops and the run finishes from its incumbent.
 var errSweepStop = errors.New("core: candidate budget exhausted")
 
-// sweep is the state of one §5 selection sweep, split into the two halves
-// every way of running the sweep shares:
+// sweep is the state of one §5 selection sweep. GenerateCtx calls produce
+// once per selection, in selection order; the work splits in two halves:
 //
 //   - produce is the selection-local work: reduce the selection, skip a
 //     node set already seen, solve its ordering (warm-chained from the
 //     previous selection) and assemble the candidates of each distinct
 //     ordering;
-//   - fold is the work that depends on global sweep state: the candidate
+//   - fold is the work that depends on the sweep so far: the candidate
 //     budget, the incumbent prune, validation, shrinking and better().
-//
-// GenerateCtx's local loop runs produce then fold per selection; a shard
-// (RunShardModels) runs only produce; the distributed replay runs only
-// fold, over the shards' merged candidate streams.
 type sweep struct {
 	m       *budget.Meter
 	classes []tpg.Class
@@ -36,10 +32,10 @@ type sweep struct {
 	workers int
 	cache   *memo.Cache
 	degrade func(string)
-	// stages records stage windows (nil: none, as in a shard).
+	// stages records stage windows (nil-safe: nil records none).
 	stages *obs.Stages
 
-	// seen holds the node-set signatures already produced or replayed.
+	// seen holds the node-set signatures already produced.
 	seen map[string]bool
 	// prevOrder is the warm chain: the previous selection's first
 	// optimal ordering, the next exact solve's incumbent seed.
@@ -50,13 +46,17 @@ type sweep struct {
 	// candidate validates.
 	lastErr error
 
-	// gen validates and shrinks candidates; fold needs it, produce not.
-	gen                 *genContext
-	prog                *obs.Progress
-	best                *march.Test
-	bestNodes, bestCost int
-	candidates          int
+	// gen validates and shrinks candidates for fold.
+	gen        *genContext
+	prog       *obs.Progress
+	best       *march.Test
+	bestSel    solvedSel
+	candidates int
 }
+
+// solvedSel is what the sweep keeps of the selection a candidate came
+// from: its TPG node count and the ATSP visit cost of its ordering.
+type solvedSel struct{ nodes, cost int }
 
 func newSweep(m *budget.Meter, classes []tpg.Class, opts Options, workers int, cache *memo.Cache, degrade func(string)) *sweep {
 	return &sweep{
@@ -82,13 +82,6 @@ func (s *sweep) firstSeen(sig string) bool {
 	return true
 }
 
-// solved folds a solved selection's exact cost into MinSelectionCost.
-func (s *sweep) solved(sel *ShardSelection) {
-	if sel.ExactCost && (s.minSel < 0 || sel.Cost < s.minSel) {
-		s.minSel = sel.Cost
-	}
-}
-
 // soft passes a hard cancellation through; any other pipeline error only
 // skips the current unit of work and is remembered in lastErr.
 func (s *sweep) soft(err error) error {
@@ -99,23 +92,24 @@ func (s *sweep) soft(err error) error {
 	return nil
 }
 
-// produce runs the selection-local half of the sweep on sel and hands
-// each distinct ordering's assembled candidates to emit, stopping at the
-// first error emit returns. It returns the selection's summary, or nil
-// when the node set was already seen or its solve failed softly.
-func (s *sweep) produce(sel tpg.Selection, emit func(*ShardSelection, []*march.Test) error) (*ShardSelection, error) {
+// produce runs the selection-local half of the sweep on sel and folds
+// each distinct ordering's assembled candidates, stopping at the first
+// error fold returns. A node set already seen, or a solve that fails
+// softly, contributes nothing.
+func (s *sweep) produce(sel tpg.Selection) error {
 	nodes := tpg.Reduce(s.classes, sel)
-	sig := nodeSignature(nodes)
-	if !s.firstSeen(sig) {
-		return nil, nil
+	if !s.firstSeen(nodeSignature(nodes)) {
+		return nil
 	}
 	s.stages.Enter("atsp")
 	patterns, cost, exactCost, err := s.order(nodes)
 	if err != nil {
-		return nil, s.soft(err)
+		return s.soft(err)
 	}
-	out := &ShardSelection{Sig: sig, Nodes: len(nodes), Cost: cost, ExactCost: exactCost}
-	s.solved(out)
+	if exactCost && (s.minSel < 0 || cost < s.minSel) {
+		s.minSel = cost
+	}
+	solved := solvedSel{nodes: len(nodes), cost: cost}
 	seenOrder := map[string]bool{}
 	for _, ordered := range patterns {
 		if osig := orderSignature(ordered); seenOrder[osig] {
@@ -127,24 +121,24 @@ func (s *sweep) produce(sel tpg.Selection, emit func(*ShardSelection, []*march.T
 		cands, err := gts.AssembleMeter(s.m, ordered, s.opts.Beam)
 		if err != nil {
 			if err := s.soft(err); err != nil {
-				return nil, err
+				return err
 			}
 			continue
 		}
-		if err := emit(out, cands); err != nil {
-			return nil, err
+		if err := s.fold(solved, cands); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// fold runs the global half of the sweep over one batch of sel's
-// candidates, in order: count each against the candidate budget (its
-// exhaustion returns errSweepStop), skip those too long to beat the
-// incumbent even after shrinking, validate, shrink, and keep the better
-// test. A non-nil error other than errSweepStop is a hard failure from
-// validation.
-func (s *sweep) fold(sel *ShardSelection, cands []*march.Test) error {
+// fold runs the global half of the sweep over one batch of candidates
+// from the selection sel, in order: count each against the candidate
+// budget (its exhaustion returns errSweepStop), skip those too long to
+// beat the incumbent even after shrinking, validate, shrink, and keep
+// the better test. A non-nil error other than errSweepStop is a hard
+// failure from validation.
+func (s *sweep) fold(sel solvedSel, cands []*march.Test) error {
 	for _, cand := range cands {
 		if lim := s.opts.Budget.Candidates; lim > 0 && s.candidates >= lim {
 			s.degrade("assemble")
@@ -172,7 +166,7 @@ func (s *sweep) fold(sel *ShardSelection, cands []*march.Test) error {
 		}
 		if better(cand, s.best) {
 			s.best = cand
-			s.bestNodes, s.bestCost = sel.Nodes, sel.Cost
+			s.bestSel = sel
 			s.prog.Best(int64(cand.Complexity()))
 		}
 	}

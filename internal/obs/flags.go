@@ -41,13 +41,18 @@ func (f *Flags) Enabled() bool {
 // thread into the pipeline (nil when nothing was requested — the whole
 // instrumentation layer then short-circuits) and a finish func that
 // flushes traces, dumps metrics to errw and stops the debug server.
-// finish is safe to call exactly once, typically via defer after
-// restructuring main as func main() { os.Exit(run()) }.
+// Only -trace and -chrome-trace read finished spans, so without them the
+// run keeps none (NewMetricsRun). finish is safe to call exactly once,
+// typically via defer after restructuring main as
+// func main() { os.Exit(run()) }.
 func (f *Flags) Start(errw io.Writer) (*Run, func(), error) {
 	if !f.Enabled() {
 		return nil, func() {}, nil
 	}
-	run := NewRun()
+	run := NewMetricsRun()
+	if f.Trace != "" || f.Chrome != "" {
+		run = NewRun()
+	}
 	var closers []func()
 	fail := func(err error) (*Run, func(), error) {
 		for _, c := range closers {

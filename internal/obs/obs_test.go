@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -180,6 +182,50 @@ func TestMetricsRunKeepsNoSpans(t *testing.T) {
 	if snap["obs.spans"] != 0 || snap["obs.spans_dropped"] != 0 || snap["c"] != 1 {
 		t.Fatalf("obs.spans = %d, obs.spans_dropped = %d, c = %d; want 0, 0, 1",
 			snap["obs.spans"], snap["obs.spans_dropped"], snap["c"])
+	}
+}
+
+// TestFlagsStartSpanRetention locks which flags keep finished spans:
+// only -trace and -chrome-trace read them, so -metrics, -pprof and
+// -progress alone start a run that keeps none, while a trace flag still
+// records every span and writes it out on finish.
+func TestFlagsStartSpanRetention(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		name  string
+		f     Flags
+		spans int64
+	}{
+		{"metrics", Flags{Metrics: true}, 0},
+		{"progress", Flags{Progress: true}, 0},
+		{"trace", Flags{Metrics: true, Trace: filepath.Join(dir, "t.jsonl")}, 1},
+		{"chrome-trace", Flags{Chrome: filepath.Join(dir, "c.json")}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var errw bytes.Buffer
+			run, finish, err := tc.f.Start(&errw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run.Start("s").End()
+			if got := run.Snapshot()["obs.spans"]; got != tc.spans {
+				t.Fatalf("obs.spans = %d, want %d", got, tc.spans)
+			}
+			finish()
+			for _, path := range []string{tc.f.Trace, tc.f.Chrome} {
+				if path == "" {
+					continue
+				}
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(string(data), `"s"`) {
+					t.Fatalf("%s holds no span: %s", path, data)
+				}
+			}
+		})
 	}
 }
 

@@ -229,46 +229,6 @@ func TestForwardOrServe(t *testing.T) {
 	}
 }
 
-// TestSweepShardEndpoint locks the internal shard executor's contract:
-// a valid shard answers 200 with the echoed range and per-selection
-// candidate streams; an out-of-range shard is a 400 usage error; a
-// server outside any replica set answers 503.
-func TestSweepShardEndpoint(t *testing.T) {
-	resetClusterGlobals(t)
-	_, ts := newTestServer(t, Config{Self: "127.0.0.1:9", Peers: []string{"127.0.0.1:9", deadAddr(t)}})
-
-	resp, raw := post(t, ts.URL+cluster.SweepPath, ShardRequest{Faults: "SAF,TF,ADF", Lo: 0, Hi: 4})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, raw)
-	}
-	var out core.ShardOutcome
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Shard.Lo != 0 || out.Shard.Hi != 4 {
-		t.Fatalf("echoed shard [%d,%d), want [0,4)", out.Shard.Lo, out.Shard.Hi)
-	}
-	if len(out.Selections) == 0 {
-		t.Fatalf("no selections in shard outcome: %s", raw)
-	}
-	for _, sel := range out.Selections {
-		if sel.Sig == "" || sel.Nodes == 0 {
-			t.Fatalf("malformed selection %+v", sel)
-		}
-	}
-
-	resp, raw = post(t, ts.URL+cluster.SweepPath, ShardRequest{Faults: "SAF,TF,ADF", Lo: 0, Hi: 100000})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("out-of-range shard: status %d, want 400: %s", resp.StatusCode, raw)
-	}
-
-	_, plain := newTestServer(t, Config{})
-	resp, raw = post(t, plain.URL+cluster.SweepPath, ShardRequest{Faults: "SAF", Lo: 0, Hi: 1})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("single-node sweep: status %d, want 503: %s", resp.StatusCode, raw)
-	}
-}
-
 // TestMemoEndpoints locks the internal memo endpoints: key validation,
 // clean 404 misses, rejection of undecodable offers, and a full
 // offer-then-fetch round trip through the shared cache.
@@ -321,61 +281,5 @@ func TestMemoEndpoints(t *testing.T) {
 	resp, body := get(key)
 	if resp.StatusCode != http.StatusOK || string(body) != string(entry) {
 		t.Fatalf("round trip: status %d body %q, want the offered bytes back", resp.StatusCode, body)
-	}
-}
-
-// TestDistributedServeByteIdentical is the serve-layer half of the
-// tentpole's acceptance: a 3-replica set answering a request whose
-// sweep distributes across the set returns exactly the test a
-// single-process run produces.
-func TestDistributedServeByteIdentical(t *testing.T) {
-	resetClusterGlobals(t)
-	const list = "SAF,TF,ADF,CFin"
-	want := func() string {
-		models, err := fault.ParseList(list)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := core.DefaultOptions()
-		opts.Cache = memo.New(0) // isolated: no help from the replicas' shared cache
-		res, err := core.GenerateCtx(context.Background(), models, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Test.String()
-	}()
-
-	lns := []net.Listener{listen(t), listen(t), listen(t)}
-	peers := make([]string, len(lns))
-	for i, ln := range lns {
-		peers[i] = ln.Addr().String()
-	}
-	servers := make([]*Server, len(lns))
-	for i, ln := range lns {
-		servers[i] = startReplica(t, Config{Self: peers[i], Peers: peers}, ln)
-	}
-
-	resp, raw := post(t, "http://"+peers[0]+"/v1/generate", GenerateRequest{Faults: list})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, raw)
-	}
-	var out GenerateResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Test != want {
-		t.Fatalf("replica set produced %q, single process %q", out.Test, want)
-	}
-	var shardsServed, distributed int64
-	for _, s := range servers {
-		snap := s.run.Snapshot()
-		shardsServed += snap["serve.cluster.shards_served"]
-		distributed += snap["core.sweep.distributed"]
-	}
-	if distributed != 1 {
-		t.Fatalf("core.sweep.distributed total = %d, want 1", distributed)
-	}
-	if shardsServed == 0 {
-		t.Fatal("no replica served a remote shard — the sweep never left the coordinator")
 	}
 }

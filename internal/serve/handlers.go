@@ -9,7 +9,6 @@ import (
 	"marchgen"
 	"marchgen/fault"
 	"marchgen/internal/cluster"
-	"marchgen/internal/core"
 	"marchgen/internal/memo"
 	"marchgen/internal/obs"
 )
@@ -182,11 +181,6 @@ func (s *Server) executeGenerate(ctx context.Context, req *GenerateRequest) (*ma
 			return nil, err
 		}
 		opts = append(opts, marchgen.WithBudget(b))
-	}
-	if d := s.distributorFor(req, spec); d != nil {
-		// marchgen.Option is a raw func over core.Options, so the
-		// distributor hook needs no public API surface.
-		opts = append(opts, marchgen.Option(func(o *core.Options) { o.Distributor = d }))
 	}
 	return marchgen.GenerateCtx(ctx, req.Faults, opts...)
 }

@@ -25,8 +25,7 @@
 //   - replica sets: with Config.Peers, N servers form a consistent-hash
 //     replica set — generate requests route to their key's ring owner,
 //     memo warmth anywhere becomes warmth everywhere through a
-//     peer-fetch tier, and eligible warm-mode sweeps distribute across
-//     the set (cluster.go, internal/cluster).
+//     peer-fetch tier (cluster.go, internal/cluster).
 //
 // The package is stdlib-only, like everything else in the module. See
 // docs/api.md for the wire schemas and cmd/marchserve for the binary.
@@ -105,9 +104,9 @@ type Config struct {
 	// added if missing). With at least one address besides Self, the
 	// server joins the replica set: /v1/generate requests forward to the
 	// ring owner of their key, the shared memo cache gains a peer-fetch
-	// tier (layered over the Store tier when both are set), and eligible
-	// selection sweeps distribute across the set. Empty: single-node
-	// mode, all cluster endpoints answer 503 cluster_disabled.
+	// tier (layered over the Store tier when both are set). Empty:
+	// single-node mode, all cluster endpoints answer 503
+	// cluster_disabled.
 	Peers []string
 }
 
@@ -137,14 +136,6 @@ type Server struct {
 	// execute concurrently, whatever the admission window holds. Every
 	// engine run takes its permit through acquire.
 	sem chan struct{}
-	// shardSem holds the permits for peer-submitted sweep shards — a
-	// pool deliberately disjoint from sem. A coordinator holds its own
-	// engine permit while waiting on remote shards; if shards competed
-	// for the same pool, two replicas coordinating concurrently would
-	// deadlock waiting on each other's held permits. Shard handlers
-	// never call back out to peers, so the disjoint pool keeps the
-	// cross-replica wait graph acyclic.
-	shardSem chan struct{}
 	// wg tracks admitted requests for Drain.
 	wg sync.WaitGroup
 
@@ -194,11 +185,10 @@ func New(cfg Config) *Server {
 		cfg.Obs = obs.NewMetricsRun()
 	}
 	s := &Server{
-		cfg:      cfg,
-		run:      cfg.Obs,
-		start:    time.Now(),
-		sem:      make(chan struct{}, cfg.MaxInFlight),
-		shardSem: make(chan struct{}, cfg.MaxInFlight),
+		cfg:   cfg,
+		run:   cfg.Obs,
+		start: time.Now(),
+		sem:   make(chan struct{}, cfg.MaxInFlight),
 	}
 	s.group = newGroup(s.run)
 	if cfg.Store != nil {
@@ -249,7 +239,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.instrument("jobs_events", s.handleJobEvents))
 	mux.HandleFunc("GET "+cluster.MemoPathPrefix+"{key}", s.handleMemoGet)
 	mux.HandleFunc("POST "+cluster.MemoPathPrefix+"{key}", s.handleMemoPut)
-	mux.HandleFunc("POST "+cluster.SweepPath, s.instrument("sweep_shard", s.handleSweepShard))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
