@@ -50,10 +50,9 @@ func WithBeamWidth(n int) Option {
 	return func(o *core.Options) { o.Beam = gts.Options{BeamWidth: n, MaxCandidates: o.Beam.MaxCandidates} }
 }
 
-// WithWorkers bounds the generation worker pool: per-fault simulation,
-// coverage-matrix rows and exact-ATSP subtree exploration fan out over at
-// most n goroutines. n == 0 (the default) uses GOMAXPROCS; a negative n is
-// rejected with ErrUsage. The generated test and every statistic except
+// WithWorkers bounds the generation worker pool: per-fault simulation and
+// coverage-matrix rows fan out over at most n goroutines. n == 0 (the
+// default) uses GOMAXPROCS; a negative n is rejected with ErrUsage. The generated test and every statistic except
 // timing are byte-identical at any worker count.
 func WithWorkers(n int) Option {
 	return func(o *core.Options) { o.Workers = n }

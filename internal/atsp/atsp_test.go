@@ -1,9 +1,15 @@
 package atsp
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
+
+	"marchgen/internal/budget"
+	"marchgen/internal/obs"
 )
 
 // bruteForce computes the optimal cyclic tour by enumerating permutations.
@@ -456,5 +462,56 @@ func TestOptimalPathsMatchBruteForce(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: emitted paths diverge from brute force\ngot:  %v\nwant: %v", n, got, want)
 		}
+	}
+}
+
+// TestOptimalPathsCapDegrades checks the enumeration's node cap fails
+// visibly instead of losing the instance. Every node's cheapest exit is a
+// free arc into hub 0, so the remainder bound stays near zero while the
+// only optimal path, 1→2→…→13→0 over the cost-1 chain, starts at node 1:
+// the hub-first subtree the DFS explores first holds far more than
+// enumNodeCap cost-feasible prefixes and no optimal path. The call must
+// return an error wrapping budget.ErrBudgetExhausted and count one cap hit.
+func TestOptimalPathsCapDegrades(t *testing.T) {
+	const n = 14
+	m := make(Matrix, n)
+	for i := range m {
+		m[i] = make([]int, n)
+		for j := range m[i] {
+			switch {
+			case i == j:
+			case j == 0:
+				m[i][j] = 0
+			case j == i+1:
+				m[i][j] = 1
+			default:
+				m[i][j] = 2
+			}
+		}
+	}
+	run := obs.NewRun()
+	mt := budget.NewMeter(obs.Into(context.Background(), run), budget.Budget{})
+	paths, _, err := OptimalPathsOpt(mt, m, nil, 8, PathOptions{})
+	if !errors.Is(err, budget.ErrBudgetExhausted) {
+		t.Fatalf("err = %v (%d paths), want ErrBudgetExhausted", err, len(paths))
+	}
+	if !strings.Contains(err.Error(), "(0 of 8 paths)") {
+		t.Errorf("err = %v, want the cap hit before any optimal path", err)
+	}
+	snap := run.Snapshot()
+	if got := snap["atsp.enum.capped"]; got != 1 {
+		t.Errorf("atsp.enum.capped = %d, want 1", got)
+	}
+	if got := snap["atsp.enum.nodes"]; got != enumNodeCap+1 {
+		t.Errorf("atsp.enum.nodes = %d, want %d", got, enumNodeCap+1)
+	}
+	// An enumeration that finishes below the cap counts nothing.
+	run = obs.NewRun()
+	mt = budget.NewMeter(obs.Into(context.Background(), run), budget.Budget{})
+	if _, _, err := OptimalPathsOpt(mt, twoCycleMatrix(4), nil, 8, PathOptions{}); err != nil {
+		t.Fatalf("uncapped enumeration: %v", err)
+	}
+	if got := run.Snapshot()["atsp.enum.capped"]; got != 0 {
+		t.Errorf("uncapped enumeration: atsp.enum.capped = %d, want 0", got)
 	}
 }

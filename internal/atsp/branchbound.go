@@ -2,8 +2,6 @@ package atsp
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"marchgen/internal/budget"
 	"marchgen/internal/obs"
@@ -11,10 +9,6 @@ import (
 
 // SolveOptions tunes the exact solvers beyond the plain entry points.
 type SolveOptions struct {
-	// Workers fans the branch-and-bound subtree exploration over N
-	// goroutines (<= 0: GOMAXPROCS, 1: sequential). The returned tour and
-	// cost are identical at any worker count.
-	Workers int
 	// WarmTour, when non-nil and a feasible tour of the instance, primes
 	// the incumbent upper bound with its cost. Warm starts change node
 	// counts only, never the returned tour or cost: the incumbent tour
@@ -37,8 +31,7 @@ type SolveOptions struct {
 
 // bbBoundHook, when non-nil, observes every branch-and-bound subproblem:
 // the constrained matrix and the assignment lower bound computed for it.
-// Tests install it to assert bound admissibility at every node; a hook used
-// under Workers > 1 is called concurrently and must synchronise itself.
+// Tests install it to assert bound admissibility at every node.
 var bbBoundHook func(w Matrix, lb int)
 
 // bbNode is one open branch-and-bound subproblem: the constrained cost
@@ -95,26 +88,22 @@ func bbBranch(nd bbNode, rowToCol []int, cycle []int) []bbNode {
 // Hungarian state provides the lower bound, and the search branches on the
 // arcs of the shortest subtour of each node's optimal assignment.
 func BranchBound(m Matrix) ([]int, int, error) {
-	return BranchBoundOpt(nil, m, SolveOptions{Workers: 1})
-}
-
-// BranchBoundMeter is BranchBound under a budget meter: every search node
-// charges the meter, so the solve aborts with a typed error on context
-// cancellation or ATSP node-budget exhaustion (nil meter: unbounded).
-func BranchBoundMeter(mt *budget.Meter, m Matrix) ([]int, int, error) {
-	return BranchBoundOpt(mt, m, SolveOptions{Workers: 1})
+	return BranchBoundOpt(nil, m, SolveOptions{})
 }
 
 // BranchBoundOpt is the full-control branch and bound; see SolveOptions.
+// Every expanded subproblem charges mt.Node(), so the solve aborts with a
+// typed error on context cancellation or ATSP node-budget exhaustion (nil
+// meter: unbounded).
 //
 // Determinism contract: subtrees are pruned only when their assignment
 // bound strictly exceeds the incumbent cost, so every node whose bound
-// does not exceed the optimum is explored at any worker count and under
-// any schedule. The set of optimal feasible tours the search reaches is
-// therefore schedule-independent, and the lexicographically smallest of
-// them (canonical rotation, lexLess order) is returned — identical for
-// sequential, parallel, warm and cold solves (CostOnly excepted).
-func BranchBoundOpt(mt *budget.Meter, m Matrix, opt SolveOptions) (_ []int, _ int, err error) {
+// does not exceed the optimum is explored whatever the incumbent's
+// priming. The set of optimal feasible tours the search reaches is
+// therefore fixed, and the lexicographically smallest of them (canonical
+// rotation, lexLess order) is returned — identical for warm and cold
+// solves (CostOnly excepted).
+func BranchBoundOpt(mt *budget.Meter, m Matrix, opt SolveOptions) ([]int, int, error) {
 	if err := m.Validate(); err != nil {
 		return nil, 0, err
 	}
@@ -122,37 +111,18 @@ func BranchBoundOpt(mt *budget.Meter, m Matrix, opt SolveOptions) (_ []int, _ in
 	if n == 1 {
 		return []int{0}, 0, nil
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	work := m.Clone()
 	for i := 0; i < n; i++ {
 		work[i][i] = Inf
 	}
 	run := obs.From(mt.Context())
 	sp := run.StartUnder("atsp/branchbound").SetInt("n", int64(n))
-	if workers > 1 {
-		sp.SetInt("workers", int64(workers))
-	}
-	s := &bbShared{orig: m, mt: mt, queues: make([]bbQueue, workers), prog: run.Progress()}
-	s.bound.Store(unset)
-	rootExpanded, rootPruned := 0, 0
+	s := &bbSearch{orig: m, mt: mt, bound: unset, prog: run.Progress()}
 	defer func() {
-		// Aggregated totals: deterministic for one worker (the explored
-		// set and visit order are fixed), schedule-dependent beyond — so
-		// the span carries them only in the sequential case, while the
-		// metrics registry always does.
-		expanded := s.expanded.Load() + int64(rootExpanded)
-		pruned := s.pruned.Load() + int64(rootPruned)
-		run.Counter("atsp.bb.expanded").Add(expanded)
-		run.Counter("atsp.bb.pruned").Add(pruned)
-		run.Counter("atsp.bb.steals").Add(s.steals.Load())
-		s.prog.AddNodes(int64(rootExpanded))
-		if workers == 1 {
-			sp.SetInt("expanded", expanded).SetInt("pruned", pruned)
-		}
-		sp.End()
+		run.Counter("atsp.bb.expanded").Add(s.expanded)
+		run.Counter("atsp.bb.pruned").Add(s.pruned)
+		s.prog.AddNodes(s.expanded - s.flushed)
+		sp.SetInt("expanded", s.expanded).SetInt("pruned", s.pruned).End()
 	}()
 	// Upper bounds prime the pruning only. Keeping the incumbent tour
 	// empty until the search reaches an optimal leaf itself makes the
@@ -169,21 +139,21 @@ func BranchBoundOpt(mt *budget.Meter, m Matrix, opt SolveOptions) (_ []int, _ in
 		}
 	}
 	if incCost < Inf {
-		s.bound.Store(int64(incCost))
+		s.bound = int64(incCost)
 	}
 	// Bound the root here: the warm shortcut and the root-Hamiltonian case
-	// then return without starting the worker engine at all.
+	// then return before the search loop.
 	if err := mt.Node(); err != nil {
 		return nil, 0, err
 	}
-	rootExpanded++
+	s.expanded++
 	root := bbNode{w: work, ap: newAPState(n)}
 	rowToCol, lb := root.ap.solve(work)
 	if hook := bbBoundHook; hook != nil {
 		hook(work, lb)
 	}
 	if lb >= Inf {
-		rootPruned++
+		s.pruned++
 		return nil, 0, fmt.Errorf("atsp: no feasible tour")
 	}
 	// The root relaxation is the solve's global lower bound: publish it
@@ -213,31 +183,129 @@ func BranchBoundOpt(mt *budget.Meter, m Matrix, opt SolveOptions) (_ []int, _ in
 		s.prog.Search(int64(cost), int64(lb))
 		return canonical(cycle), cost, nil
 	}
-	for _, child := range bbBranch(root, rowToCol, cycle) {
-		s.outstanding.Add(1)
-		s.queues[0].push(child)
-	}
-	if workers == 1 {
-		s.worker(0)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(id int) {
-				defer wg.Done()
-				s.worker(id)
-			}(w)
-		}
-		wg.Wait()
-	}
-	if err := s.failure(); err != nil {
+	if err := s.search(bbBranch(root, rowToCol, cycle)); err != nil {
 		return nil, 0, err
 	}
 	if s.best == nil {
 		return nil, 0, fmt.Errorf("atsp: no feasible tour")
 	}
-	sp.SetInt("incumbent", s.bound.Load())
-	return s.best, int(s.bound.Load()), nil
+	sp.SetInt("incumbent", s.bound)
+	return s.best, int(s.bound), nil
+}
+
+// progressFlush is how many node expansions the search accumulates before
+// flushing them into the run's live-progress cell — large enough to keep
+// the shared atomic off the per-node path, small enough that the streamed
+// node rate tracks a long solve closely.
+const progressFlush = 1024
+
+// unset is the incumbent sentinel before any feasible tour is known. It is
+// far above any reachable tour cost yet small enough that comparisons
+// against lower bounds (themselves capped near Inf) cannot overflow.
+const unset = int64(Inf) * 4
+
+// bbSearch is the state of one depth-first branch-and-bound search below
+// the root.
+type bbSearch struct {
+	orig Matrix
+	mt   *budget.Meter
+
+	// bound is the incumbent tour cost (unset until one is known); best
+	// is the incumbent tour, nil until the search reaches a feasible leaf.
+	bound int64
+	best  []int
+
+	// prog is the run's live-progress surface (nil-safe) and rootLB the
+	// root relaxation bound: offer publishes every incumbent improvement
+	// against it, and search flushes expanded-node batches into it.
+	prog   *obs.Progress
+	rootLB int64
+
+	// expanded/pruned count the search effort (root included) for the
+	// observability metrics; flushed is the share of expanded already
+	// added to prog.
+	expanded, pruned, flushed int64
+}
+
+// search expands open subproblems depth-first from a LIFO stack seeded
+// with the root's children: the last child pushed is expanded first, and
+// its children are pushed above its siblings. It returns the first
+// budget or cancellation error a node charge reports.
+func (s *bbSearch) search(stack []bbNode) error {
+	for len(stack) > 0 {
+		// Batch the live node count out of the hot loop: one shared
+		// atomic add per progressFlush expansions, not one per node.
+		if s.expanded-s.flushed >= progressFlush {
+			s.prog.AddNodes(s.expanded - s.flushed)
+			s.flushed = s.expanded
+		}
+		nd := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		children, err := s.expand(nd)
+		if err != nil {
+			return err
+		}
+		stack = append(stack, children...)
+	}
+	return nil
+}
+
+// expand processes one subproblem: bound it by re-augmenting the inherited
+// assignment state (only the rows the branching constraints dirtied),
+// record it when the assignment is a feasible tour, otherwise return its
+// children, branched on the shortest subtour exactly as the CDT scheme
+// prescribes. Pruning is strict (bound must *exceed* the incumbent cost):
+// a subproblem whose bound ties the incumbent may still hold an equal-cost
+// tour that wins the lexicographic tie-break, and exploring all of them is
+// what makes the returned tour independent of the incumbent's priming.
+func (s *bbSearch) expand(nd bbNode) ([]bbNode, error) {
+	if err := s.mt.Node(); err != nil {
+		return nil, err
+	}
+	s.expanded++
+	rowToCol, lb := nd.ap.solve(nd.w)
+	if hook := bbBoundHook; hook != nil {
+		hook(nd.w, lb)
+	}
+	if int64(lb) > s.bound || lb >= Inf {
+		s.pruned++
+		return nil, nil
+	}
+	cycle := shortestSubtour(rowToCol)
+	if len(cycle) == len(rowToCol) {
+		s.offer(cycle)
+		return nil, nil
+	}
+	return bbBranch(nd, rowToCol, cycle), nil
+}
+
+// offer records a feasible tour, keeping the cheapest — and among
+// equal-cost optima the lexicographically smallest canonical tour, so the
+// result does not depend on which co-optimal leaf the search reached first.
+func (s *bbSearch) offer(cycle []int) {
+	cost := int64(s.orig.TourCost(cycle))
+	if cost > s.bound {
+		return
+	}
+	tour := canonical(cycle)
+	if cost < s.bound || s.best == nil || lexLess(tour, s.best) {
+		s.best = tour
+		s.bound = cost
+		s.prog.Search(cost, s.rootLB)
+	}
+}
+
+// lexLess orders tours lexicographically.
+func lexLess(a, b []int) bool {
+	for k := range a {
+		if k >= len(b) {
+			return false
+		}
+		if a[k] != b[k] {
+			return a[k] < b[k]
+		}
+	}
+	return len(a) < len(b)
 }
 
 // shortestSubtour extracts the shortest cycle of the assignment
@@ -266,17 +334,13 @@ func shortestSubtour(rowToCol []int) []int {
 // bound beyond, cross-checking nothing at runtime (the test suite asserts
 // both agree).
 func SolveExact(m Matrix) ([]int, int, error) {
-	return SolveExactMeter(nil, m)
+	return SolveExactOpt(nil, m, SolveOptions{})
 }
 
-// SolveExactMeter is SolveExact under a budget meter.
-func SolveExactMeter(mt *budget.Meter, m Matrix) ([]int, int, error) {
-	return SolveExactOpt(mt, m, SolveOptions{Workers: 1})
-}
-
-// SolveExactOpt is SolveExact under SolveOptions: PreferBB overrides the
-// small-instance Held–Karp dispatch (warm starts only help the branch and
-// bound — the dynamic program's state count is fixed by n).
+// SolveExactOpt is SolveExact under a budget meter and SolveOptions:
+// PreferBB overrides the small-instance Held–Karp dispatch (warm starts
+// only help the branch and bound — the dynamic program's state count is
+// fixed by n).
 func SolveExactOpt(mt *budget.Meter, m Matrix, opt SolveOptions) ([]int, int, error) {
 	if !opt.PreferBB && len(m) <= 13 {
 		return HeldKarpMeter(mt, m)

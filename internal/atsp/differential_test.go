@@ -46,12 +46,11 @@ func exhaustiveOpenPath(m Matrix, startCost []int) int {
 	return best
 }
 
-// TestDifferentialTourSolvers cross-checks four independent solvers on
+// TestDifferentialTourSolvers cross-checks three independent solvers on
 // random asymmetric instances up to n = 10: exhaustive enumeration,
-// Held–Karp, the sequential branch-and-bound and the work-stealing
-// parallel branch-and-bound at several worker counts must all report the
-// same optimal tour cost, and every returned tour must be a valid
-// permutation achieving its reported cost.
+// Held–Karp and the branch and bound must all report the same optimal
+// tour cost, and every returned tour must be a valid permutation achieving
+// its reported cost.
 func TestDifferentialTourSolvers(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for n := 2; n <= 10; n++ {
@@ -80,19 +79,14 @@ func TestDifferentialTourSolvers(t *testing.T) {
 			hkTour, hkCost, hkErr := HeldKarp(m)
 			check("held-karp", hkTour, hkCost, hkErr)
 			bbTour, bbCost, bbErr := BranchBound(m)
-			check("sequential-bb", bbTour, bbCost, bbErr)
-			for _, workers := range []int{2, 4} {
-				pTour, pCost, pErr := BranchBoundWorkers(nil, m, workers)
-				check("parallel-bb", pTour, pCost, pErr)
-			}
+			check("branch-bound", bbTour, bbCost, bbErr)
 		}
 	}
 }
 
-// TestDifferentialOpenPath cross-checks PathWorkers (the open-path
+// TestDifferentialOpenPath cross-checks the exact Path (the open-path
 // reduction the generation pipeline actually runs) against exhaustive
-// open-path enumeration, with and without start costs, at several worker
-// counts.
+// open-path enumeration, with and without start costs.
 func TestDifferentialOpenPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for n := 2; n <= 8; n++ {
@@ -106,40 +100,15 @@ func TestDifferentialOpenPath(t *testing.T) {
 				}
 			}
 			want := exhaustiveOpenPath(m, starts)
-			for _, workers := range []int{1, 2, 4} {
-				path, cost, err := PathWorkers(nil, m, starts, true, workers)
-				if err != nil {
-					t.Fatalf("n=%d trial=%d workers=%d: %v", n, trial, workers, err)
-				}
-				if cost != want {
-					t.Fatalf("n=%d trial=%d workers=%d: cost %d, exhaustive says %d", n, trial, workers, cost, want)
-				}
-				if !validTour(n, path) {
-					t.Fatalf("n=%d trial=%d workers=%d: invalid path %v", n, trial, workers, path)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelCostDeterministic re-solves one instance many times at
-// several worker counts: the reported optimal cost must never vary with
-// scheduling.
-func TestParallelCostDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	m := randomMatrix(rng, 9, 30)
-	_, want, err := BranchBound(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		for rep := 0; rep < 10; rep++ {
-			_, cost, err := BranchBoundWorkers(nil, m, workers)
+			path, cost, err := Path(m, starts, true)
 			if err != nil {
-				t.Fatalf("workers=%d rep=%d: %v", workers, rep, err)
+				t.Fatalf("n=%d trial=%d: %v", n, trial, err)
 			}
 			if cost != want {
-				t.Fatalf("workers=%d rep=%d: cost %d, want %d", workers, rep, cost, want)
+				t.Fatalf("n=%d trial=%d: cost %d, exhaustive says %d", n, trial, cost, want)
+			}
+			if !validTour(n, path) {
+				t.Fatalf("n=%d trial=%d: invalid path %v", n, trial, path)
 			}
 		}
 	}
@@ -168,23 +137,23 @@ func twoCycleMatrix(half int) Matrix {
 	return m
 }
 
-// TestParallelBudgetExhaustion checks that the shared meter's node budget
-// aborts the parallel solve with the same typed error as the sequential
-// one. The two-cycle instance guarantees the root branches, so a budget of
-// one node must be exhausted by whichever worker expands a child.
-func TestParallelBudgetExhaustion(t *testing.T) {
+// TestBranchBoundBudgetExhaustion checks that the meter's node budget
+// aborts the branch and bound with the typed error. The two-cycle
+// instance guarantees the root branches, so a budget of one node must be
+// exhausted by the first child the search expands.
+func TestBranchBoundBudgetExhaustion(t *testing.T) {
 	m := twoCycleMatrix(6)
 	mt := budget.NewMeter(context.Background(), budget.Budget{ATSPNodes: 1})
-	_, _, err := BranchBoundWorkers(mt, m, 4)
+	_, _, err := BranchBoundOpt(mt, m, SolveOptions{})
 	if !errors.Is(err, budget.ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
 }
 
-// TestParallelCancellation checks that a hard cancellation latched on the
-// shared meter (as a pipeline stage boundary would via CheckNow) aborts
-// the whole worker pool with the typed error.
-func TestParallelCancellation(t *testing.T) {
+// TestBranchBoundCancellation checks that a hard cancellation latched on
+// the meter (as a pipeline stage boundary would via CheckNow) aborts the
+// search with the typed error.
+func TestBranchBoundCancellation(t *testing.T) {
 	m := twoCycleMatrix(6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -192,29 +161,29 @@ func TestParallelCancellation(t *testing.T) {
 	if err := mt.CheckNow(); !errors.Is(err, budget.ErrCanceled) {
 		t.Fatalf("CheckNow = %v, want ErrCanceled", err)
 	}
-	_, _, err := BranchBoundWorkers(mt, m, 4)
+	_, _, err := BranchBoundOpt(mt, m, SolveOptions{})
 	if !errors.Is(err, budget.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }
 
-// TestSolveExactWorkersDispatch checks the Held–Karp/branch-and-bound
-// dispatch agrees with the sequential SolveExact on both sides of the
-// size threshold.
-func TestSolveExactWorkersDispatch(t *testing.T) {
+// TestSolveExactDispatch checks SolveExact against Held–Karp on both sides
+// of its dispatch threshold: n = 6 takes the dynamic program, n = 14 the
+// branch and bound.
+func TestSolveExactDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{6, 14} {
 		m := randomMatrix(rng, n, 25)
-		_, want, err := SolveExact(m)
+		_, want, err := HeldKarp(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, got, err := SolveExactWorkers(nil, m, 4)
+		tour, got, err := SolveExact(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("n=%d: parallel dispatch cost %d, sequential %d", n, got, want)
+		if got != want || !validTour(n, tour) || m.TourCost(tour) != got {
+			t.Fatalf("n=%d: SolveExact tour %v cost %d, Held–Karp %d", n, tour, got, want)
 		}
 	}
 }

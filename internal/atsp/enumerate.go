@@ -11,37 +11,28 @@ import (
 // objective as Path with exact=true): different optimal visits can fold
 // into March tests of different quality downstream, so the caller wants
 // them all. At most limit paths are returned; the search is additionally
-// capped at a fixed node budget as a safety valve (the instances produced
+// capped at enumNodeCap nodes as a safety valve (the instances produced
 // by Test Pattern Graphs are small).
 func OptimalPaths(m Matrix, startCost []int, limit int) ([][]int, int, error) {
-	return OptimalPathsMeter(nil, m, startCost, limit)
+	return OptimalPathsOpt(nil, m, startCost, limit, PathOptions{})
 }
 
-// OptimalPathsMeter is OptimalPaths under a budget meter: both the exact
-// solve establishing the optimum and the enumeration charge the meter per
-// search node, so the call aborts with a typed error on cancellation or
-// node-budget exhaustion (nil meter: only the built-in safety valve).
-func OptimalPathsMeter(mt *budget.Meter, m Matrix, startCost []int, limit int) ([][]int, int, error) {
-	return OptimalPathsWorkers(mt, m, startCost, limit, 1)
-}
+// enumNodeCap is the enumeration's node safety valve. A search that hits
+// it is incomplete: OptimalPathsOpt counts it as atsp.enum.capped and
+// fails with an error wrapping budget.ErrBudgetExhausted, so the caller
+// degrades visibly instead of losing the instance.
+const enumNodeCap = 500000
 
-// OptimalPathsWorkers is OptimalPathsMeter with a worker count: the exact
-// solve establishing the optimal cost runs on `workers` goroutines, while
-// the enumeration of cost-optimal paths stays sequential — its emission
-// order feeds the rewrite engine and must be identical at any worker
-// count. The optimal cost is schedule-independent, so the enumerated set
-// is too.
-func OptimalPathsWorkers(mt *budget.Meter, m Matrix, startCost []int, limit, workers int) ([][]int, int, error) {
-	return OptimalPathsOpt(mt, m, startCost, limit, PathOptions{Workers: workers})
-}
-
-// OptimalPathsOpt is OptimalPathsWorkers under PathOptions: the exact
-// solve establishing the optimal cost can be warm-started and routed to
-// the branch and bound, while the enumeration itself is untouched — its
-// emission order feeds the rewrite engine, so the returned paths are
-// byte-identical whatever the options. CostOnly is forced: only the
-// optimal cost survives into the enumeration, so the establishing solve
-// never needs the canonical tour.
+// OptimalPathsOpt is OptimalPaths under a budget meter and PathOptions.
+// Both the exact solve establishing the optimum and the enumeration
+// charge the meter per search node, so the call aborts with a typed error
+// on cancellation or node-budget exhaustion (nil meter: only the built-in
+// enumNodeCap valve). The establishing solve can be warm-started and
+// routed to the branch and bound, while the enumeration itself is
+// untouched — its emission order feeds the rewrite engine, so the
+// returned paths are byte-identical whatever the options. CostOnly is
+// forced: only the optimal cost survives into the enumeration, so the
+// establishing solve never needs the canonical tour.
 func OptimalPathsOpt(mt *budget.Meter, m Matrix, startCost []int, limit int, opt PathOptions) ([][]int, int, error) {
 	if limit <= 0 {
 		limit = 16
@@ -69,12 +60,16 @@ func OptimalPathsOpt(mt *budget.Meter, m Matrix, startCost []int, limit int, opt
 	var paths [][]int
 	visited := make([]bool, n)
 	cur := make([]int, 0, n)
-	const nodeBudget = 500000
 	nodes := 0
+	capped := false
 	var recErr error
 	var rec func(cost int)
 	rec = func(cost int) {
-		if recErr != nil || len(paths) >= limit || nodes > nodeBudget {
+		if recErr != nil || len(paths) >= limit || capped {
+			return
+		}
+		if nodes > enumNodeCap {
+			capped = true
 			return
 		}
 		if err := mt.Node(); err != nil {
@@ -140,6 +135,9 @@ func OptimalPathsOpt(mt *budget.Meter, m Matrix, startCost []int, limit int, opt
 	rec(0)
 	if run := obs.From(mt.Context()); run != nil {
 		run.Counter("atsp.enum.nodes").Add(int64(nodes))
+		if capped {
+			run.Counter("atsp.enum.capped").Inc()
+		}
 		run.Progress().AddNodes(int64(nodes))
 		run.StartUnder("atsp/enumerate").
 			SetInt("n", int64(n)).
@@ -149,6 +147,10 @@ func OptimalPathsOpt(mt *budget.Meter, m Matrix, startCost []int, limit int, opt
 	}
 	if recErr != nil {
 		return nil, 0, recErr
+	}
+	if capped {
+		return nil, 0, fmt.Errorf("atsp: optimal-path enumeration stopped at %d nodes (%d of %d paths): %w",
+			enumNodeCap, len(paths), limit, budget.ErrBudgetExhausted)
 	}
 	if len(paths) == 0 {
 		return nil, 0, fmt.Errorf("atsp: internal error: no path re-achieves the optimal cost %d", best)

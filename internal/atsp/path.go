@@ -19,29 +19,16 @@ import (
 // branch and bound); otherwise the layered heuristics provide a fast
 // near-optimal path.
 func Path(m Matrix, startCost []int, exact bool) ([]int, int, error) {
-	return PathMeter(nil, m, startCost, exact)
+	return PathOpt(nil, m, startCost, exact, PathOptions{})
 }
 
-// PathMeter is Path under a budget meter: the exact reduction charges the
-// meter per search node and aborts with a typed error on cancellation or
-// node-budget exhaustion. The heuristic mode only probes for cancellation
-// (it is the degradation target, so it must not consume the node budget).
-func PathMeter(mt *budget.Meter, m Matrix, startCost []int, exact bool) ([]int, int, error) {
-	return PathWorkers(mt, m, startCost, exact, 1)
-}
-
-// PathWorkers is PathMeter with a worker count for the exact solve: the
-// branch-and-bound regime explores its subtrees on `workers` goroutines
-// (see BranchBoundWorkers). The optimal cost is identical at any worker
-// count; workers <= 1 is the sequential solver unchanged.
-func PathWorkers(mt *budget.Meter, m Matrix, startCost []int, exact bool, workers int) ([]int, int, error) {
-	return PathOpt(mt, m, startCost, exact, PathOptions{Workers: workers})
-}
-
-// PathOptions tunes PathOpt beyond the plain entry points; the zero value
-// reproduces PathMeter exactly.
+// PathOptions tunes PathOpt beyond the plain entry points; with the zero
+// value and a nil meter PathOpt is Path.
 type PathOptions struct {
-	// Workers is the exact solver's worker count (see SolveOptions).
+	// Workers is ignored: the exact solver is sequential. It is kept so
+	// existing callers still compile.
+	//
+	// Deprecated: has no effect.
 	Workers int
 	// WarmPath, when a valid open path over the instance's nodes, primes
 	// the exact solve's incumbent bound (see SolveOptions.WarmTour; the
@@ -53,9 +40,13 @@ type PathOptions struct {
 	CostOnly bool
 }
 
-// PathOpt is PathWorkers under PathOptions: the same dummy-node reduction,
-// with the exact solve optionally warm-started, forced onto the branch and
-// bound, or relaxed to cost-only tie-breaking.
+// PathOpt is Path under a budget meter and PathOptions: the same
+// dummy-node reduction, with the exact solve optionally warm-started,
+// forced onto the branch and bound, or relaxed to cost-only tie-breaking.
+// The exact reduction charges the meter per search node and aborts with a
+// typed error on cancellation or node-budget exhaustion. The heuristic
+// mode only probes for cancellation (it is the degradation target, so it
+// must not consume the node budget).
 func PathOpt(mt *budget.Meter, m Matrix, startCost []int, exact bool, opt PathOptions) ([]int, int, error) {
 	if err := m.Validate(); err != nil {
 		return nil, 0, err
@@ -91,7 +82,6 @@ func PathOpt(mt *budget.Meter, m Matrix, startCost []int, exact bool, opt PathOp
 	var err error
 	if exact {
 		so := SolveOptions{
-			Workers:  opt.Workers,
 			PreferBB: opt.PreferBB,
 			CostOnly: opt.CostOnly,
 		}

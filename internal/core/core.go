@@ -64,10 +64,9 @@ type Options struct {
 	// unlimited. Exhaustion degrades the result (see Result.Degraded)
 	// instead of failing, unless no valid candidate exists yet.
 	Budget budget.Budget
-	// Workers bounds the worker pool fanning out per-fault simulation,
-	// coverage-matrix rows and exact-ATSP subtree exploration (0: use
-	// GOMAXPROCS; negative is rejected as a usage error). Results are
-	// byte-identical at any worker count.
+	// Workers bounds the worker pool fanning out per-fault simulation
+	// and coverage-matrix rows (0: use GOMAXPROCS; negative is rejected
+	// as a usage error). Results are byte-identical at any worker count.
 	Workers int
 	// Cache, when non-nil, memoises coverage matrices, solved tour
 	// fragments, completeness verdicts and whole results under
@@ -295,7 +294,7 @@ func GenerateCtx(ctx context.Context, models []fault.Model, opts Options) (_ *Re
 		cache:       cache,
 		verdictHits: run.Counter("memo.verdict_hits"),
 	}
-	sw := newSweep(m, classes, opts, workers, cache, degrade)
+	sw := newSweep(m, classes, opts, cache, degrade)
 	sw.stages, sw.gen, sw.prog = stages, gen, prog
 	for idx, sel := range selections {
 		// Each select span carries the sweep fraction in parts per
@@ -625,16 +624,16 @@ func orderings(nodes []tpg.Node, paths [][]int) [][]fsm.Pattern {
 // different quality) plus each one reversed. In heuristic mode a single
 // near-optimal path and its reverse are returned. When the exact solvers
 // exhaust the meter's node budget the ordering degrades to the heuristic
-// path automatically and degrade("atsp") records the downgrade.
+// path automatically and degrade("atsp") records the downgrade; so does a
+// selection whose optimal-path enumeration hits its node cap.
 //
 // The exact solve is the warm-started assignment branch and bound: the
 // previous selection's first ordering (the warm chain) and, with a cache,
-// a cost fragment left by an earlier run prime its incumbent. It fans its
-// subtrees over the sweep's workers and, with a non-nil cache, is
-// memoised under the weight-matrix fingerprint. The third result reports
-// whether the returned cost is an exact optimum (false after a heuristic
-// downgrade). Warm paths prime node counts only: the returned orderings
-// and cost equal a cold solve's.
+// a cost fragment left by an earlier run prime its incumbent. With a
+// non-nil cache it is memoised under the weight-matrix fingerprint. The
+// third result reports whether the returned cost is an exact optimum
+// (false after a heuristic downgrade). Warm paths prime node counts only:
+// the returned orderings and cost equal a cold solve's.
 func (s *sweep) order(nodes []tpg.Node) ([][]fsm.Pattern, int, bool, error) {
 	g, starts, total := tpgInstance(nodes)
 	if len(nodes) == 1 {
@@ -682,7 +681,6 @@ func (s *sweep) order(nodes []tpg.Node) ([][]fsm.Pattern, int, bool, error) {
 			}
 			var err error
 			paths, cost, err = atsp.OptimalPathsOpt(m, atsp.Matrix(g.Weight), starts, 8, atsp.PathOptions{
-				Workers:  s.workers,
 				PreferBB: true,
 				WarmPath: warmPath,
 			})
@@ -702,7 +700,7 @@ func (s *sweep) order(nodes []tpg.Node) ([][]fsm.Pattern, int, bool, error) {
 		}
 	}
 	if !exact {
-		path, c, err := atsp.PathWorkers(m, atsp.Matrix(g.Weight), starts, false, s.workers)
+		path, c, err := atsp.PathOpt(m, atsp.Matrix(g.Weight), starts, false, atsp.PathOptions{})
 		if err != nil {
 			return nil, 0, false, err
 		}

@@ -17,49 +17,47 @@ import (
 // fault-library singleton and each Table 3 list, in sweep order, the
 // warm-chained ordering must return the same orderings and cost as a
 // cold atsp.OptimalPaths solve (Held–Karp establishing the optimum, no
-// warm path), at one worker and at four.
+// warm path).
 func TestWarmChainMatchesColdSolve(t *testing.T) {
 	lists := append(fault.ModelNames(),
 		"SAF,TF", "SAF,TF,ADF", "SAF,TF,ADF,CFin", "SAF,TF,ADF,CFin,CFid")
 	opts := DefaultOptions()
-	for _, workers := range []int{1, 4} {
-		for _, list := range lists {
-			models, err := fault.ParseList(list)
-			if err != nil {
-				t.Fatal(err)
-			}
-			classes := tpg.Classes(fault.Instances(models))
-			sw := newSweep(nil, classes, opts, workers, nil, func(stage string) {
-				t.Fatalf("%s: unbudgeted solve degraded at %s", list, stage)
-			})
-			solved := 0
-			for _, sel := range tpg.Selections(classes, opts.SelectionLimit) {
-				nodes := tpg.Reduce(classes, sel)
-				if !sw.firstSeen(nodeSignature(nodes)) {
-					continue
-				}
-				got, cost, exact, err := sw.order(nodes)
-				if err != nil || !exact {
-					t.Fatalf("%s [workers=%d]: warm solve: exact=%v err=%v", list, workers, exact, err)
-				}
-				if len(nodes) == 1 {
-					continue // one node, one ordering: nothing was solved
-				}
-				g, starts, total := tpgInstance(nodes)
-				paths, want, err := atsp.OptimalPaths(atsp.Matrix(g.Weight), starts, 8)
-				if err != nil {
-					t.Fatalf("%s: cold solve: %v", list, err)
-				}
-				if cost != want+total {
-					t.Fatalf("%s [workers=%d] %s: warm cost %d, cold %d", list, workers, nodeSignature(nodes), cost, want+total)
-				}
-				if !reflect.DeepEqual(got, orderings(nodes, paths)) {
-					t.Fatalf("%s [workers=%d] %s: warm orderings differ from the cold solve", list, workers, nodeSignature(nodes))
-				}
-				solved++
-			}
-			t.Logf("%s [workers=%d]: %d selections compared", list, workers, solved)
+	for _, list := range lists {
+		models, err := fault.ParseList(list)
+		if err != nil {
+			t.Fatal(err)
 		}
+		classes := tpg.Classes(fault.Instances(models))
+		sw := newSweep(nil, classes, opts, nil, func(stage string) {
+			t.Fatalf("%s: unbudgeted solve degraded at %s", list, stage)
+		})
+		solved := 0
+		for _, sel := range tpg.Selections(classes, opts.SelectionLimit) {
+			nodes := tpg.Reduce(classes, sel)
+			if !sw.firstSeen(nodeSignature(nodes)) {
+				continue
+			}
+			got, cost, exact, err := sw.order(nodes)
+			if err != nil || !exact {
+				t.Fatalf("%s: warm solve: exact=%v err=%v", list, exact, err)
+			}
+			if len(nodes) == 1 {
+				continue // one node, one ordering: nothing was solved
+			}
+			g, starts, total := tpgInstance(nodes)
+			paths, want, err := atsp.OptimalPaths(atsp.Matrix(g.Weight), starts, 8)
+			if err != nil {
+				t.Fatalf("%s: cold solve: %v", list, err)
+			}
+			if cost != want+total {
+				t.Fatalf("%s %s: warm cost %d, cold %d", list, nodeSignature(nodes), cost, want+total)
+			}
+			if !reflect.DeepEqual(got, orderings(nodes, paths)) {
+				t.Fatalf("%s %s: warm orderings differ from the cold solve", list, nodeSignature(nodes))
+			}
+			solved++
+		}
+		t.Logf("%s: %d selections compared", list, solved)
 	}
 }
 
@@ -78,7 +76,7 @@ func enumerateBaseline(t *testing.T, list string) (string, int) {
 	opts := DefaultOptions()
 	instances := fault.Instances(models)
 	classes := tpg.Classes(instances)
-	sw := newSweep(nil, classes, opts, 1, nil, func(stage string) {
+	sw := newSweep(nil, classes, opts, nil, func(stage string) {
 		t.Fatalf("%s: unbudgeted baseline degraded at %s", list, stage)
 	})
 	sw.gen = &genContext{

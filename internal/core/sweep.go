@@ -29,7 +29,6 @@ type sweep struct {
 	m       *budget.Meter
 	classes []tpg.Class
 	opts    Options
-	workers int
 	cache   *memo.Cache
 	degrade func(string)
 	// stages records stage windows (nil-safe: nil records none).
@@ -58,12 +57,11 @@ type sweep struct {
 // from: its TPG node count and the ATSP visit cost of its ordering.
 type solvedSel struct{ nodes, cost int }
 
-func newSweep(m *budget.Meter, classes []tpg.Class, opts Options, workers int, cache *memo.Cache, degrade func(string)) *sweep {
+func newSweep(m *budget.Meter, classes []tpg.Class, opts Options, cache *memo.Cache, degrade func(string)) *sweep {
 	return &sweep{
 		m:       m,
 		classes: classes,
 		opts:    opts,
-		workers: workers,
 		cache:   cache,
 		degrade: degrade,
 		seen:    map[string]bool{},

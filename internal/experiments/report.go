@@ -215,21 +215,20 @@ the parent's Hungarian dual state and re-augments only the rows its new
 arc constraints invalidated. Bound quality is measured, not assumed:
 
 - **Admissibility** — ` + "`TestAPBoundAdmissible`" + ` instruments every node of
-  randomized instances (n ≤ 9, sequential and 4-way parallel, under the
-  race detector) and asserts the AP bound never exceeds the brute-force
+  randomized instances (n ≤ 9, warm-started and cold) and asserts the AP bound never exceeds the brute-force
   optimum of that node's own subproblem.
 - **Tightness** — on TPG matrices the root AP bound almost always equals
   the warm-started incumbent (the previous selection's patched tour), so
   cost-only solves finish at the root with zero branching. The
   per-row node counts live in ` + "`testdata/solver_nodes.golden`" + `:
   total exact-solver nodes (branch-and-bound expansions + enumeration
-  nodes) per Table 3 row, at one worker on a cold cache, so any bound
+  nodes) per Table 3 row on a cold cache, so any bound
   regression shows up as a reviewed golden diff.
 - **Output invariance** — warm starts must not change what the solver
   returns; strict pruning plus lex-min tie-breaking makes the returned
-  tour schedule-independent. ` + "`TestWarmChainMatchesColdSolve`" + ` checks
+  tour independent of the priming. ` + "`TestWarmChainMatchesColdSolve`" + ` checks
   every deduplicated selection's warm-chained orderings against a cold
-  solve over the fault library at one and four workers, and
+  solve over the fault library, and
   ` + "`FuzzWarmStartEquivalence`" + ` covers fuzz-derived instances; CI runs
   them in the ` + "`solver-differential`" + ` job.
 

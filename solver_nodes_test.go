@@ -12,9 +12,9 @@ import (
 )
 
 // solverEffort is the deterministic solver-effort profile of one
-// single-worker, cold-cache generation run, extracted from the metrics
-// snapshot. Every field is schedule-independent at one worker, so the
-// profile is stable across runs and machines.
+// cold-cache generation run, extracted from the metrics snapshot. The
+// exact solvers are sequential, so every field is stable across runs and
+// machines.
 type solverEffort struct {
 	hkStates   int64 // Held–Karp dynamic-program states
 	bbExpanded int64 // branch-and-bound nodes bounded
